@@ -5,7 +5,10 @@ plus, per input, a pull function mapping the output adjoint to that
 input's adjoint contribution.  backward() walks the tape once in reverse
 with a local adjoint table seeded at 1.0 for the loss, then adds the
 results into each Variable's .grad, so repeated backward calls accumulate
-(two identical calls leave exactly twice the gradient).
+(two identical calls leave exactly twice the gradient).  A pull may return
+a Partial, a contribution to a few leading-axis rows of its input only;
+backward adds those in place into a buffer it allocates for that call, so
+T per-step slices of one (T, B, E) sequence cost one buffer, not T.
 
 Values may be single vectors or batches with a leading batch axis; every
 op handles both so sequence models can run whole minibatches through one
@@ -42,9 +45,7 @@ class Variable:
                 "gradient shape %r does not match value shape %r"
                 % (g.shape, self.value.shape)
             )
-        if self.grad is None:
-            self.grad = np.zeros(self.value.shape)
-        self.grad = self.grad + g
+        self.grad = g + 0.0 if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -60,26 +61,46 @@ class Tape:
         return out
 
 
+class Partial:
+    """A pull's adjoint for rows `index` (leading axis) of its input only."""
+
+    __slots__ = ("index", "value")
+
+    def __init__(self, index, value: np.ndarray):
+        self.index = index
+        self.value = value
+
+
 def backward(tape: Tape, loss: Variable):
     """Accumulate d(loss)/d(var) into .grad for every variable on the tape."""
     if loss.value.shape != ():
         raise NotScalar("loss must be a scalar, got shape %r" % (loss.value.shape,))
     adjoint = {id(loss): np.array(1.0)}
     holders = {id(loss): loss}
+    owned = set()  # adjoints allocated here, so nothing else aliases them
     for out, pulls in reversed(tape.records):
         g = adjoint.pop(id(out), None)
         if g is None:
             continue
         holders.pop(id(out), None)
+        owned.discard(id(out))
         out.add_grad(g)
         for src, pull in pulls:
             contribution = pull(g)
             key = id(src)
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + contribution
-            else:
+            held = adjoint.get(key)
+            if isinstance(contribution, Partial):
+                if key not in owned:
+                    held = np.zeros(src.value.shape) if held is None else held + 0.0
+                    adjoint[key] = held
+                    holders[key] = src
+                    owned.add(key)
+                held[contribution.index] += contribution.value
+            elif held is None:
                 adjoint[key] = contribution
                 holders[key] = src
+            else:
+                adjoint[key] = held + contribution
     for key, g in adjoint.items():
         holders[key].add_grad(g)
 
@@ -227,6 +248,12 @@ def embed(tape: Tape, table: Variable, token_ids) -> Variable:
         return dt
 
     return tape.emit(out, [(table, pull)])
+
+
+def take(tape: Tape, a: Variable, index: int) -> Variable:
+    """Row `index` of a along its leading axis, e.g. one step of (T, B, E)."""
+    out = _wrap(a.value.array[index])
+    return tape.emit(out, [(a, lambda g: Partial(index, g))])
 
 
 def concat_last(tape: Tape, a: Variable, b: Variable) -> Variable:

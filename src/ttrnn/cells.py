@@ -8,9 +8,12 @@ and the softmax head stay dense, so the compression targets exactly the
 weights that scale with the input width.
 
 A cell owns its whole parameter set: embedding table, per-gate input and
-recurrent maps, biases, and the class head.  Steps run on a Tape, accept
-single vectors or batches, and an optional 0/1 mask freezes state (value
-and gradient) on padded positions.
+recurrent maps, biases, and the class head.  Steps run on a Tape and
+accept single vectors or batches.  run_sequence embeds all tokens in one
+lookup, applies the head-less update `advance` per step, and computes the
+head once from the final state (jordan, which feeds its output back, at
+every step).  An optional 0/1 mask freezes state (value and gradient) on
+padded positions, and the runner stops at the last real token.
 
 Gate naming: gru uses r (reset), z (update), d (candidate); lstm uses
 k (input), f (forget), o (output), g (candidate).
@@ -18,7 +21,8 @@ k (input), f (forget), o (output), g (candidate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from . import autodiff as ad
 from . import rng
 from .autodiff import Tape, Variable
 from .errors import EmptySequence, ShapeMismatch
-from .tensor import DenseTensor, _wrap
+from .tensor import _wrap
 from .ttcore import ModeFactorization, check_ranks, random_tt
 
 KINDS = ("elman", "jordan", "lstm", "gru", "t_rnn", "t_lstm", "t_gru")
@@ -95,7 +99,7 @@ class CellSpec:
     def gates(self) -> tuple:
         return _GATES[self.kind]
 
-    @property
+    @cached_property
     def facto(self) -> ModeFactorization | None:
         if not self.tensorized:
             return None
@@ -270,44 +274,41 @@ def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
     return ad.softmax(tape, logits)
 
 
-def step(
-    tape: Tape,
-    spec: CellSpec,
-    weights: CellWeights,
-    x: Variable,
-    state: CellState,
-):
-    """One recurrent update.  Returns (new_state, class probabilities).
-
-    x is an embedded input, (E,) or (B, E); the state must match.
-    """
+def advance(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: CellState) -> CellState:
+    """One recurrent update without the class head (jordan needs it as y)."""
     kind = spec.kind
     if kind in ("elman", "t_rnn"):
-        h = ad.tanh(tape, _gate_preact(tape, spec, weights, "", x, state.h))
-        probs = head_probs(tape, weights, h)
-        return CellState(h=h), probs
+        return CellState(h=ad.tanh(tape, _gate_preact(tape, spec, weights, "", x, state.h)))
     if kind == "jordan":
         h = ad.tanh(tape, _gate_preact(tape, spec, weights, "", x, state.y))
-        probs = head_probs(tape, weights, h)
-        return CellState(h=h, y=probs), probs
+        return CellState(h=h, y=head_probs(tape, weights, h))
     if kind in ("gru", "t_gru"):
         r = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "r", x, state.h))
         z = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "z", x, state.h))
         gated = ad.hadamard(tape, r, state.h)
         d = ad.tanh(tape, _gate_preact(tape, spec, weights, "d", x, gated))
         keep = ad.hadamard(tape, ad.one_minus(tape, z), state.h)
-        h = ad.add(tape, keep, ad.hadamard(tape, z, d))
-        probs = head_probs(tape, weights, h)
-        return CellState(h=h), probs
+        return CellState(h=ad.add(tape, keep, ad.hadamard(tape, z, d)))
     # lstm family
     k = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "k", x, state.h))
     f = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "f", x, state.h))
     o = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "o", x, state.h))
     g = ad.tanh(tape, _gate_preact(tape, spec, weights, "g", x, state.h))
     c = ad.add(tape, ad.hadamard(tape, f, state.c), ad.hadamard(tape, k, g))
-    h = ad.hadamard(tape, o, ad.tanh(tape, c))
-    probs = head_probs(tape, weights, h)
-    return CellState(h=h, c=c), probs
+    return CellState(h=ad.hadamard(tape, o, ad.tanh(tape, c)), c=c)
+
+
+def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: CellState):
+    """One recurrent update.  Returns (new_state, class probabilities).
+
+    x is an embedded input, (E,) or (B, E); the state must match.
+    """
+    state = advance(tape, spec, weights, x, state)
+    return state, _probs(tape, spec, weights, state)
+
+
+def _probs(tape, spec, weights, state: CellState) -> Variable:
+    return state.y if spec.kind == "jordan" else head_probs(tape, weights, state.h)
 
 
 def _blend_state(tape, m, new: CellState, old: CellState) -> CellState:
@@ -352,21 +353,19 @@ def run_sequence(
         totals = mask.sum(axis=-1)
         if np.any(totals == 0):
             raise EmptySequence("sequence with no unmasked tokens")
+        # masked steps are the identity: stop after the last real column
+        steps = int(np.flatnonzero(mask.reshape(-1, steps).any(axis=0))[-1]) + 1
 
+    xs = ad.embed(tape, weights["embedding"], ids[..., :steps].T)  # (T, [B,] E)
     state = init_state(spec, batch=ids.shape[0] if batched else None)
     for t in range(steps):
-        x = ad.embed(tape, weights["embedding"], ids[..., t])
-        new_state, probs = step(tape, spec, weights, x, state)
+        new_state = advance(tape, spec, weights, ad.take(tape, xs, t), state)
         if mask is None:
             state = new_state
         else:
             m = mask[..., t : t + 1] if batched else mask[t]
             state = _blend_state(tape, m, new_state, state)
-    if spec.kind == "jordan":
-        return state.y if mask is not None else probs
-    if mask is None:
-        return probs
-    return head_probs(tape, weights, state.h)
+    return _probs(tape, spec, weights, state)
 
 
 def classify(spec: CellSpec, weights: CellWeights, token_ids, mask=None):

@@ -135,12 +135,9 @@ def scale(t: DenseTensor, factor: float) -> DenseTensor:
 
 def sigmoid_array(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic: never exponentiates a positive argument."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    r = 1.0 / (1.0 + e)
+    return np.where(z >= 0, r, e * r)
 
 
 def sigmoid(t: DenseTensor) -> DenseTensor:

@@ -394,16 +394,29 @@ def load_clean_jsonl(path: str) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError("bad JSON (%s)" % e.msg, line=line_no) from None
+            if not isinstance(obj, dict):
+                raise ParseError("expected an object", line=line_no)
             for k in ("id", "clean_text", "hashtags", "emotion_label", "sentiment_label"):
                 if k not in obj:
                     raise ParseError("missing field %r" % k, line=line_no)
+            if not isinstance(obj["clean_text"], str):
+                raise ParseError("clean_text must be a string", line=line_no)
+            tags = obj["hashtags"]
+            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                raise ParseError("hashtags must be a list of strings", line=line_no)
+            if obj["sentiment_label"] not in SENTIMENTS:
+                raise ParseError(
+                    "unknown sentiment %r (expected one of %s)"
+                    % (obj["sentiment_label"], ", ".join(SENTIMENTS)),
+                    line=line_no,
+                )
             ex_id = str(obj["id"]).strip()
             _register(seen, ex_id, line_no)
             out.append(
                 CleanExample(
                     id=ex_id,
                     clean_text=obj["clean_text"],
-                    hashtags=tuple(obj["hashtags"]),
+                    hashtags=tuple(tags),
                     emotion_label=_check_label(obj["emotion_label"], line_no),
                     sentiment_label=obj["sentiment_label"],
                 )
@@ -419,7 +432,8 @@ def looks_like_clean_jsonl(path: str) -> bool:
         with open(path, "r", encoding="utf-8") as f:
             for line in f:
                 if line.strip():
-                    return "clean_text" in json.loads(line)
+                    obj = json.loads(line)
+                    return isinstance(obj, dict) and "clean_text" in obj
     except (OSError, json.JSONDecodeError):
         return False
     return False

@@ -530,12 +530,9 @@ def benchmark_pair(dense_kind: str, tensor_kind: str, config: TrainConfig, steps
         gates = len(spec.gates)
         if spec.tensorized:
             macs = gates * tt_matvec_macs(spec.facto, spec.tt_ranks)
-            input_params = sum(
-                int(np.prod(s)) for n, s in weight_templates(spec) if ".core" in n
-            )
         else:
             macs = gates * spec.hidden_dim * spec.embed_dim
-            input_params = gates * spec.hidden_dim * spec.embed_dim
+        counts = param_counts(spec)
         x = Variable(_wrap(rng.normal(rng.split(seed, "bench-x"), spec.embed_dim)))
         state = cells_mod.init_state(spec)
         for _ in range(50):  # warmup
@@ -551,8 +548,8 @@ def benchmark_pair(dense_kind: str, tensor_kind: str, config: TrainConfig, steps
                 "hidden": spec.hidden_dim,
                 "embed": spec.embed_dim,
                 "gates": gates,
-                "input_map_params": input_params,
-                "total_params": param_counts(spec)["total"],
+                "input_map_params": counts["input_maps"],
+                "total_params": counts["total"],
                 "macs_per_step": macs,
                 "median_step_seconds": float(np.median(times)),
             }

@@ -199,44 +199,81 @@ def test_full_rank_twin_matches_dense_hidden_state(dense_kind, tensor_kind):
 # gradients through a full sequence
 
 
+SEQUENCE_CASES = [
+    (np.array([[2, 7, 1, 5]]), None, np.array([1])),
+    # two lengths, and a last column that is padding in every row
+    (np.array([[2, 7, 1, 0], [5, 3, 0, 0]]), np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=float), np.array([1, 2])),
+]
+
+
+def _sequence_loss(spec, weights, ids, mask, labels):
+    tape = Tape()
+    probs = run_sequence(tape, spec, weights, ids, mask=mask)
+    return tape, ad.cross_entropy_mean(tape, probs, labels)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_sequence_gradient_finite_difference(kind):
     spec = _spec(kind)
-    weights = init_weights(spec, seed=8)
-    ids = np.array([[2, 7, 1, 5]])
-    labels = np.array([1])
+    for ids, mask, labels in SEQUENCE_CASES:
+        weights = init_weights(spec, seed=8)
+        tape, loss = _sequence_loss(spec, weights, ids, mask, labels)
+        ad.backward(tape, loss)
 
-    def loss_value(ws):
-        tape = Tape()
-        probs = run_sequence(tape, spec, ws, ids)
-        return tape, ad.cross_entropy_mean(tape, probs, labels)
+        h = 1e-6
+        checked = 0
+        for name, _ in weight_templates(spec):
+            var = weights[name]
+            if var.grad is None:
+                continue
+            flat_grad = var.grad.reshape(-1)
+            # probe the largest-gradient coordinate of each parameter
+            i = int(np.argmax(np.abs(flat_grad)))
+            base = var.value.array.reshape(-1).copy()
+            lossed = {}
+            for sign in (1.0, -1.0):
+                probe = base.copy()
+                probe[i] += sign * h
+                values = dict(weights.values)
+                values[name] = Variable(tensor(probe.reshape(var.value.shape)))
+                _, l2 = _sequence_loss(spec, CellWeights(spec, values), ids, mask, labels)
+                lossed[sign] = float(l2.value.array)
+            fd = (lossed[1.0] - lossed[-1.0]) / (2 * h)
+            if abs(fd) > 1e-10:
+                assert abs(fd - flat_grad[i]) <= 1e-4 * max(1.0, abs(fd)), name
+                checked += 1
+        assert checked >= 5
 
-    tape, loss = loss_value(weights)
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_backward_calls_leave_exactly_twice_the_gradient(kind):
+    spec = _spec(kind)
+    weights = init_weights(spec, seed=9)
+    ids, mask, labels = SEQUENCE_CASES[1]
+    tape, loss = _sequence_loss(spec, weights, ids, mask, labels)
     ad.backward(tape, loss)
+    once = {name: np.array(v.grad) for name, v in weights.values.items() if v.grad is not None}
+    ad.backward(tape, loss)
+    assert "embedding" in once
+    for name, g in once.items():
+        assert np.array_equal(weights[name].grad, 2.0 * g), name
 
-    h = 1e-6
-    checked = 0
-    for name, _ in weight_templates(spec):
-        var = weights[name]
-        if var.grad is None:
-            continue
-        flat_grad = var.grad.reshape(-1)
-        # probe the largest-gradient coordinate of each parameter
-        i = int(np.argmax(np.abs(flat_grad)))
-        base = var.value.array.reshape(-1).copy()
-        for sign in (1.0, -1.0):
-            probe = base.copy()
-            probe[i] += sign * h
-            values = dict(weights.values)
-            values[name] = Variable(tensor(probe.reshape(var.value.shape)))
-            probed = CellWeights(spec, values)
-            _, l2 = loss_value(probed)
-            if sign > 0:
-                lp = float(l2.value.array)
-            else:
-                lm = float(l2.value.array)
-        fd = (lp - lm) / (2 * h)
-        if abs(fd) > 1e-10:
-            assert abs(fd - flat_grad[i]) <= 1e-4 * max(1.0, abs(fd)), name
-            checked += 1
-    assert checked >= 5
+
+def _records_reading(tape, var):
+    return sum(1 for _, pulls in tape.records if any(src is var for src, _ in pulls))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_runner_skips_trailing_padding_and_runs_embed_and_head_once(kind):
+    spec = _spec(kind)
+    weights = init_weights(spec, seed=10)
+    ids = np.array([[3, 5, 2, 0, 0, 0], [1, 4, 0, 0, 0, 0]])
+    mask = (ids != 0).astype(np.float64)
+    padded, cut = Tape(), Tape()
+    out = run_sequence(padded, spec, weights, ids, mask=mask).value.array
+    ref = run_sequence(cut, spec, weights, ids[:, :3], mask=mask[:, :3]).value.array
+    assert np.array_equal(out, ref)
+    assert len(padded.records) == len(cut.records)
+    assert _records_reading(padded, weights["embedding"]) == 1
+    heads = _records_reading(padded, weights["head_w"])
+    assert heads == (3 if kind == "jordan" else 1)

@@ -227,6 +227,36 @@ def test_build_vocab_reports_size_and_writes_json(cleaned_dozen, tmp_path):
     assert size == len(vocab.tokens) + 2
 
 
+_GOOD_CLEAN = {
+    "id": "t1",
+    "clean_text": "i am happy",
+    "hashtags": [],
+    "emotion_label": "Happy",
+    "sentiment_label": "Positive",
+}
+
+
+@pytest.mark.parametrize(
+    "bad_line,line_no",
+    [
+        ("5", 1),
+        ("5", 2),
+        (json.dumps(dict(_GOOD_CLEAN, id="t2", clean_text=7)), 2),
+        (json.dumps(dict(_GOOD_CLEAN, id="t2", hashtags="fun")), 2),
+        (json.dumps(dict(_GOOD_CLEAN, id="t2", sentiment_label="Nope")), 2),
+    ],
+    ids=["lone-number", "number", "clean-text", "hashtags", "sentiment"],
+)
+def test_build_vocab_bad_cleaned_jsonl_exits_2(tmp_path, bad_line, line_no):
+    lines = [bad_line] if line_no == 1 else [json.dumps(_GOOD_CLEAN), bad_line]
+    data = tmp_path / "bad.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = run_cli(["build-vocab", "--in", str(data), "--out", str(tmp_path / "v.json")])
+    assert proc.returncode == 2
+    assert "ParseError: line %d:" % line_no in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # train / evaluate / predict
 

@@ -67,6 +67,18 @@ def test_sigmoid_is_stable_at_extremes():
     assert out[0, 2] == 1.0
 
 
+def test_sigmoid_within_one_ulp_of_the_masked_form():
+    z = np.concatenate([np.linspace(-745.0, 745.0, 200001), np.linspace(-40.0, 40.0, 100001)])
+    pos = z >= 0
+    ref = np.empty_like(z)
+    ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    ref[~pos] = ez / (1.0 + ez)
+    out = tz.sigmoid_array(z)
+    assert np.all(np.abs(out - ref) <= np.spacing(ref))
+    assert np.array_equal(out[pos], ref[pos])
+
+
 def test_reshape_checks_element_count():
     t = tensor(np.arange(6.0))
     assert tz.reshape(t, (2, 3)).shape == (2, 3)
