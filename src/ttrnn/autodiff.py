@@ -4,11 +4,14 @@ Ops execute eagerly and append a record to a Tape: the output Variable
 plus, per input, a pull function mapping the output adjoint to that
 input's adjoint contribution.  backward() walks the tape once in reverse
 with a local adjoint table seeded at 1.0 for the loss, then adds the
-results into each Variable's .grad, so repeated backward calls accumulate
-(two identical calls leave exactly twice the gradient).  A pull may return
-a Partial, a contribution to a few leading-axis rows of its input only;
-backward adds those in place into a buffer it allocates for that call, so
-T per-step slices of one (T, B, E) sequence cost one buffer, not T.
+results into the .grad of each leaf (a Variable no record on the tape
+produced, such as a weight or an input), so repeated backward calls
+accumulate (two identical calls leave exactly twice the gradient).
+Variables the tape produced keep .grad None: their adjoints live only
+in the table.  A pull may return a Partial, a contribution to a few
+leading-axis rows of its input only; backward adds those in place into a
+buffer it allocates for that call, so T per-step slices of one (T, B, E)
+sequence cost one buffer, not T.
 
 Values may be single vectors or batches with a leading batch axis; every
 op handles both so sequence models can run whole minibatches through one
@@ -72,7 +75,11 @@ class Partial:
 
 
 def backward(tape: Tape, loss: Variable):
-    """Accumulate d(loss)/d(var) into .grad for every variable on the tape."""
+    """Accumulate d(loss)/d(leaf) into .grad for every leaf the loss reaches.
+
+    A leaf is a Variable that no record on this tape produced.  Adjoints of
+    produced Variables are consumed on the way and never stored.
+    """
     if loss.value.shape != ():
         raise NotScalar("loss must be a scalar, got shape %r" % (loss.value.shape,))
     adjoint = {id(loss): np.array(1.0)}
@@ -84,7 +91,6 @@ def backward(tape: Tape, loss: Variable):
             continue
         holders.pop(id(out), None)
         owned.discard(id(out))
-        out.add_grad(g)
         for src, pull in pulls:
             contribution = pull(g)
             key = id(src)
@@ -137,12 +143,6 @@ def hadamard(tape: Tape, a: Variable, b: Variable) -> Variable:
 def one_minus(tape: Tape, a: Variable) -> Variable:
     out = _wrap(1.0 - a.value.array)
     return tape.emit(out, [(a, lambda g: -g)])
-
-
-def scale(tape: Tape, a: Variable, factor: float) -> Variable:
-    factor = float(factor)
-    out = _wrap(factor * a.value.array)
-    return tape.emit(out, [(a, lambda g: factor * g)])
 
 
 def sigmoid(tape: Tape, a: Variable) -> Variable:
@@ -256,20 +256,6 @@ def take(tape: Tape, a: Variable, index: int) -> Variable:
     return tape.emit(out, [(a, lambda g: Partial(index, g))])
 
 
-def concat_last(tape: Tape, a: Variable, b: Variable) -> Variable:
-    aa, ba = a.value.array, b.value.array
-    if aa.shape[:-1] != ba.shape[:-1]:
-        raise ShapeMismatch(
-            "cannot concatenate %r with %r" % (a.value.shape, b.value.shape)
-        )
-    na = aa.shape[-1]
-    out = _wrap(np.concatenate([aa, ba], axis=-1))
-    return tape.emit(
-        out,
-        [(a, lambda g: g[..., :na]), (b, lambda g: g[..., na:])],
-    )
-
-
 def blend(tape: Tape, mask, a: Variable, b: Variable) -> Variable:
     """mask * a + (1 - mask) * b with a constant, broadcastable 0/1 mask.
 
@@ -301,25 +287,6 @@ def softmax(tape: Tape, a: Variable) -> Variable:
 def sum_all(tape: Tape, a: Variable) -> Variable:
     out = _wrap(np.array(a.value.array.sum()))
     return tape.emit(out, [(a, lambda g: np.full(a.value.shape, float(g)))])
-
-
-def cross_entropy(tape: Tape, probs: Variable, label: int) -> Variable:
-    """Negative log likelihood of one label under a probability vector."""
-    pa = probs.value.array
-    if pa.ndim != 1:
-        raise ShapeMismatch("probs must be a vector, got %r" % (probs.value.shape,))
-    label = int(label)
-    if not 0 <= label < pa.shape[0]:
-        raise ShapeMismatch("label %d out of range for %d classes" % (label, pa.shape[0]))
-    p = pa[label] + 1e-12
-    out = _wrap(np.array(-np.log(p)))
-
-    def pull(g):
-        d = np.zeros(pa.shape)
-        d[label] = -float(g) / p
-        return d
-
-    return tape.emit(out, [(probs, pull)])
 
 
 def cross_entropy_mean(tape: Tape, probs: Variable, labels) -> Variable:

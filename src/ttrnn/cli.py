@@ -40,6 +40,7 @@ from .training import (
     TrainConfig,
     benchmark_pair,
     drop_untokenizable,
+    encode_examples,
     evaluate_model,
     model_probabilities,
     resolve_task,
@@ -53,6 +54,7 @@ from .ttcore import (
     param_count,
     reconstruct,
     tt_svd,
+    uniform_ranks,
 )
 
 log = logging.getLogger("ttrnn")
@@ -222,7 +224,6 @@ def cmd_evaluate(args) -> int:
     bundle = load_model(args.model)
     examples = _load_examples(args.data)
     _, label_of = resolve_task(bundle.task)
-    label_id = {name: i for i, name in enumerate(bundle.labels)}
     usable, dropped = drop_untokenizable(examples)
     if dropped:
         log.info("dropped %d examples with no tokens", dropped)
@@ -239,12 +240,7 @@ def cmd_evaluate(args) -> int:
     else:
         subset = usable
         log.info("evaluating all %d examples", len(subset))
-    encoded = [
-        encode(
-            tokenize(ex.clean_text), bundle.vocab, bundle.max_len, label_id[label_of(ex)]
-        )
-        for ex in subset
-    ]
+    encoded = encode_examples(subset, bundle.vocab, bundle.max_len, bundle.labels, label_of)
     report = evaluate_model(bundle.spec, bundle.weights, encoded)
     _print_report(bundle.labels, report)
     return 0
@@ -289,12 +285,9 @@ def cmd_compress(args) -> int:
         )
     else:
         raise ShapeMismatch("give both --modes and --in-modes, or neither")
-    max_ranks = None
-    if args.ranks:
-        if len(args.ranks) == 1:
-            max_ranks = (1,) + (args.ranks[0],) * (facto.order - 1) + (1,)
-        else:
-            max_ranks = args.ranks
+    max_ranks = args.ranks
+    if max_ranks and len(max_ranks) == 1:
+        max_ranks = uniform_ranks(max_ranks[0], facto.order)
     tt = tt_svd(w, facto, max_ranks=max_ranks, eps=args.eps)
     save_ttmatrix(tt, args.out)
     log.info("wrote %s", args.out)
@@ -398,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tweet emotion classifiers with tensor-train compressed "
         "recurrent cells: data cleaning, training, evaluation and "
         "matrix compression tools.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker thread budget; execution is sequential and deterministic, "
-        "values above 1 are accepted but do not change results (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -672,14 +658,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging()
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    if args.threads != 1:
-        log.info(
-            "--threads %d noted; execution stays sequential so results are "
-            "reproducible",
-            args.threads,
-        )
     try:
         return args.func(args)
     except TtrnnError as e:

@@ -13,8 +13,6 @@ The bundled corpus is make_dataset() with the defaults below.
 
 from __future__ import annotations
 
-import csv
-
 from . import rng
 from .textpipe import EMOTIONS, RawExample
 
@@ -120,11 +118,3 @@ def make_dataset(size: int = DEFAULT_SIZE, seed: int = DEFAULT_SEED):
         cls = EMOTIONS[i % len(EMOTIONS)]
         out.append(make_example(cls, i, seed))
     return out
-
-
-def write_csv(examples, path: str):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "text", "label"])
-        for ex in examples:
-            writer.writerow([ex.id, ex.text, ex.emotion_label])

@@ -1,8 +1,9 @@
-"""Dense tensor value type and the primitive numeric operations.
+"""Dense tensor value type and the stable logistic.
 
-A DenseTensor is an immutable row-major float64 array.  All public
-operations are pure functions returning new tensors, validate shapes, and
-guarantee finite entries in their results.
+A DenseTensor is an immutable row-major float64 array with positive
+dims, checked finite on construction.  The numeric work runs on the
+underlying numpy arrays in autodiff and ttcore; this module adds only
+sigmoid_array, the overflow-free logistic that autodiff's sigmoid uses.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import rng
 from .errors import ShapeMismatch
 
 Shape = tuple  # ordered dims, each >= 1
@@ -82,102 +82,8 @@ def tensor(values) -> DenseTensor:
     return DenseTensor(values)
 
 
-def zeros(shape: Sequence[int]) -> DenseTensor:
-    return _wrap(np.zeros(check_shape(shape)))
-
-
-def reshape(t: DenseTensor, shape: Sequence[int]) -> DenseTensor:
-    shape = check_shape(shape)
-    if int(np.prod(shape, dtype=np.int64)) != t.size:
-        raise ShapeMismatch(
-            "cannot reshape %d elements into shape %r" % (t.size, shape)
-        )
-    return _wrap(t.array.reshape(shape))
-
-
-def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    if a.array.ndim != 2 or b.array.ndim != 2:
-        raise ShapeMismatch("matmul expects rank-2 tensors")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(
-            "inner dims disagree: %r x %r" % (a.shape, b.shape)
-        )
-    return _wrap(a.array @ b.array)
-
-
-def _same_shape(*ts: DenseTensor):
-    first = ts[0].shape
-    for t in ts[1:]:
-        if t.shape != first:
-            raise ShapeMismatch(
-                "elementwise operands differ in shape: %r vs %r" % (first, t.shape)
-            )
-
-
-def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    _same_shape(a, b)
-    return _wrap(a.array + b.array)
-
-
-def sub(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    _same_shape(a, b)
-    return _wrap(a.array - b.array)
-
-
-def hadamard(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    _same_shape(a, b)
-    return _wrap(a.array * b.array)
-
-
-def scale(t: DenseTensor, factor: float) -> DenseTensor:
-    return _wrap(t.array * float(factor))
-
-
 def sigmoid_array(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic: never exponentiates a positive argument."""
     e = np.exp(-np.abs(z))
     r = 1.0 / (1.0 + e)
     return np.where(z >= 0, r, e * r)
-
-
-def sigmoid(t: DenseTensor) -> DenseTensor:
-    return _wrap(sigmoid_array(t.array))
-
-
-def tanh(t: DenseTensor) -> DenseTensor:
-    return _wrap(np.tanh(t.array))
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "hadamard": hadamard,
-    "scale": scale,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-}
-
-
-def elementwise(op: str, *args) -> DenseTensor:
-    """Dispatch by name to the pointwise operations above."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError("unknown elementwise op %r" % op) from None
-    return fn(*args)
-
-
-def random_init(shape: Sequence[int], stddev: float, seed: int) -> DenseTensor:
-    """I.i.d. zero-mean Gaussian entries from the splitmix64 counter stream.
-
-    Identical (seed, shape, stddev) give bitwise-identical tensors.
-    """
-    if not stddev > 0:
-        raise ValueError("stddev must be > 0, got %r" % stddev)
-    shape = check_shape(shape)
-    n = int(np.prod(shape, dtype=np.int64))
-    return _wrap(rng.normal(seed, n, stddev=stddev).reshape(shape))
-
-
-def frobenius_norm(t: DenseTensor) -> float:
-    return float(np.sqrt(np.sum(t.array * t.array)))

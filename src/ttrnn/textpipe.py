@@ -181,13 +181,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def token_of(self, idx: int) -> str:
-        if idx == PAD_ID:
-            return "<pad>"
-        if idx == UNK_ID:
-            return "<unk>"
-        return self.tokens[idx - 2]
-
     def to_dict(self) -> dict:
         return {
             "tokens": list(self.tokens),

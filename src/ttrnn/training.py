@@ -31,7 +31,7 @@ from .metrics import MetricsReport, evaluate as evaluate_metrics
 from .modelio import ModelBundle
 from .tensor import _wrap
 from .textpipe import EMOTIONS, SENTIMENTS, EncodedExample, build_vocab, encode, tokenize
-from .ttcore import choose_factorization, tt_matvec_macs
+from .ttcore import choose_factorization, tt_matvec_macs, uniform_ranks
 
 _EVAL_BATCH = 64  # fixed so stored metrics reproduce regardless of train batch size
 
@@ -249,7 +249,7 @@ def build_cell_spec(kind: str, vocab_size: int, config: TrainConfig, num_classes
     if config.tt_rank_vector is not None:
         ranks = tuple(config.tt_rank_vector)
     else:
-        ranks = (1,) + (config.tt_ranks,) * (len(out_modes) - 1) + (1,)
+        ranks = uniform_ranks(config.tt_ranks, len(out_modes))
     return CellSpec(
         kind,
         vocab_size,
@@ -338,6 +338,15 @@ def drop_untokenizable(clean_examples):
     return usable, dropped
 
 
+def encode_examples(examples, vocab, max_len: int, labels, label_of) -> list:
+    """Encode cleaned examples; each class id is label_of(ex)'s index in labels."""
+    label_id = {name: i for i, name in enumerate(labels)}
+    return [
+        encode(tokenize(ex.clean_text), vocab, max_len, label_id[label_of(ex)])
+        for ex in examples
+    ]
+
+
 def prepare_dataset(clean_examples, config: TrainConfig, task: str = "emotion") -> PreparedData:
     """Split cleaned examples, build the vocabulary on train only, encode.
 
@@ -345,7 +354,6 @@ def prepare_dataset(clean_examples, config: TrainConfig, task: str = "emotion") 
     sub-seed so it is independent of the train/test draw.
     """
     labels, label_of = resolve_task(task)
-    label_id = {name: i for i, name in enumerate(labels)}
 
     usable, dropped = drop_untokenizable(clean_examples)
 
@@ -357,17 +365,8 @@ def prepare_dataset(clean_examples, config: TrainConfig, task: str = "emotion") 
         min_count=config.min_count,
         max_size=config.max_vocab,
     )
-
-    def encode_all(examples):
-        return [
-            encode(
-                tokenize(ex.clean_text), vocab, config.max_len, label_id[label_of(ex)]
-            )
-            for ex in examples
-        ]
-
-    train_enc = encode_all(train_ex)
-    test_enc = encode_all(test_ex)
+    train_enc = encode_examples(train_ex, vocab, config.max_len, labels, label_of)
+    test_enc = encode_examples(test_ex, vocab, config.max_len, labels, label_of)
     core, val = split_train_test(
         train_enc, 0.9, rng.split(config.seed, "val"), key=lambda e: e.class_id
     )

@@ -9,10 +9,11 @@ Equivalently, merging each index pair as l_k = i_k * n_k + j_k (0-based)
 turns the matrix into a d-mode tensor with mode sizes m_k * n_k, and the
 cores form its tensor-train decomposition.
 
-The module provides decomposition (sequential SVD with an in-repo
-one-sided Jacobi SVD), dense reconstruction, matrix-vector application by
+The module provides decomposition (TT-SVD: sequential truncated SVDs,
+through numpy's LAPACK), dense reconstruction, batched application by
 core-chain contraction (never materializing the dense matrix), the exact
-reverse-mode gradients of that contraction, and parameter accounting.
+reverse-mode gradients of that contraction, and parameter and
+multiply-accumulate accounting.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def check_ranks(ranks, order: int) -> tuple:
     if any(r < 1 for r in ranks):
         raise InvalidRank("ranks must be positive, got %r" % (ranks,))
     return ranks
+
+
+def uniform_ranks(rank: int, order: int) -> tuple:
+    """Rank vector (1, rank, ..., rank, 1) for a chain of `order` cores."""
+    return (1,) + (rank,) * (order - 1) + (1,)
 
 
 @dataclass(frozen=True)
@@ -171,60 +177,6 @@ def choose_factorization(rows: int, cols: int, order: int) -> ModeFactorization:
 
 
 # ---------------------------------------------------------------------------
-# one-sided Jacobi SVD (kept in-repo so decomposition has no LAPACK dependency)
-
-
-def jacobi_svd(a: np.ndarray):
-    """Thin SVD via one-sided Jacobi rotations.
-
-    Returns (u, s, vt) with a = u @ diag(s) @ vt, s sorted descending,
-    u of shape (m, k) and vt of shape (k, n) where k = min(m, n).
-    Columns of the worked side are rotated until pairwise orthogonal,
-    which gives high relative accuracy for small matrices.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    if n > m:
-        u, s, vt = jacobi_svd(a.T)
-        return vt.T, s, u.T
-
-    b = a.copy()
-    v = np.eye(n)
-    tol = 1e-15
-    for _ in range(60):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bp = b[:, p]
-                bq = b[:, q]
-                app = bp @ bp
-                aqq = bq @ bq
-                apq = bp @ bq
-                if apq == 0.0 or abs(apq) <= tol * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s_ = c * t
-                b[:, p], b[:, q] = c * bp - s_ * bq, s_ * bp + c * bq
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s_ * v[:, q]
-                v[:, q] = s_ * vp + c * v[:, q]
-        if not rotated:
-            break
-
-    norms = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    u = np.zeros((m, n))
-    nonzero = s > 0
-    u[:, nonzero] = b[:, order[nonzero]] / s[nonzero]
-    vt = v[:, order].T
-    return u, s, vt
-
-
-# ---------------------------------------------------------------------------
 # decomposition and reconstruction
 
 
@@ -276,7 +228,7 @@ def tt_svd(
     ranks = [1]
     raw_cores = []
     for k in range(d - 1):
-        u, s, vt = jacobi_svd(c)
+        u, s, vt = np.linalg.svd(c, full_matrices=False)
         keep = 1
         if s[0] > 0:
             keep = int(np.sum(s > s[0] * 1e-14))
@@ -392,25 +344,6 @@ def tt_matvec(tt: TTMatrix, x: DenseTensor) -> DenseTensor:
         tt.core_arrays(), tt.facto.in_modes, tt.ranks, x.array.reshape(1, -1)
     )
     return _wrap(y.reshape(-1))
-
-
-def tt_matvec_backward(tt: TTMatrix, x: DenseTensor, dy: DenseTensor):
-    """Gradients of  dy . (tt @ x)  with respect to every core and to x.
-
-    Returns (core_grads, dx) where core_grads is a list of DenseTensors
-    matching the core shapes.
-    """
-    if x.array.ndim != 1 or x.size != tt.cols:
-        raise ShapeMismatch("x has shape %r, expected length %d" % (x.shape, tt.cols))
-    if dy.array.ndim != 1 or dy.size != tt.rows:
-        raise ShapeMismatch("dy has shape %r, expected length %d" % (dy.shape, tt.rows))
-    trace = _ApplyTrace()
-    cores = tt.core_arrays()
-    tt_apply_batch(cores, tt.facto.in_modes, tt.ranks, x.array.reshape(1, -1), trace)
-    core_grads, dx = tt_apply_backward_batch(
-        cores, tt.facto.in_modes, tt.ranks, trace, dy.array.reshape(1, -1)
-    )
-    return [_wrap(g) for g in core_grads], _wrap(dx.reshape(-1))
 
 
 def tt_matvec_macs(facto: ModeFactorization, ranks) -> int:

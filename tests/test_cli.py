@@ -86,12 +86,6 @@ def test_clean_wrong_format_exits_2(tmp_path):
     assert "ParseError" in proc.stderr
 
 
-def test_threads_must_be_positive():
-    proc = run_cli(["--threads", "0", "clean", "--in", "x", "--out", "y"])
-    assert proc.returncode == 2
-    assert "--threads" in proc.stderr
-
-
 def test_unknown_log_level_warns_but_runs(tmp_path):
     out = tmp_path / "o.jsonl"
     proc = run_cli(

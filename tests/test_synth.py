@@ -1,7 +1,7 @@
 from collections import Counter
 
-from ttrnn.synth import DEFAULT_SEED, DEFAULT_SIZE, make_dataset, write_csv
-from ttrnn.textpipe import EMOTIONS, clean_example, load_dataset, tokenize
+from ttrnn.synth import DEFAULT_SEED, DEFAULT_SIZE, make_dataset
+from ttrnn.textpipe import EMOTIONS, clean_example, tokenize
 
 
 def test_default_sizes():
@@ -43,11 +43,3 @@ def test_texts_exercise_the_cleaning_pipeline():
     assert "'" in raw or "’" in raw
     # at least one emoji present
     assert any(ord(ch) > 0x2600 for ch in raw)
-
-
-def test_write_csv_round_trips(tmp_path):
-    examples = make_dataset(30)
-    p = tmp_path / "synth.csv"
-    write_csv(examples, str(p))
-    again = load_dataset(str(p))
-    assert again == examples

@@ -5,19 +5,16 @@ import pytest
 
 from ttrnn import rng
 from ttrnn.errors import InvalidRank, ShapeMismatch
-from ttrnn.tensor import DenseTensor, tensor
+from ttrnn.tensor import tensor
 from ttrnn.ttcore import (
     ModeFactorization,
-    TTMatrix,
     check_ranks,
     choose_factorization,
     compression_ratio,
-    jacobi_svd,
     param_count,
     random_tt,
     reconstruct,
     tt_matvec,
-    tt_matvec_backward,
     tt_matvec_macs,
     tt_svd,
 )
@@ -25,41 +22,6 @@ from ttrnn.ttcore import (
 
 def _random_matrix(shape, seed):
     return rng.normal(seed, shape[0] * shape[1]).reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# in-repo SVD against the numpy oracle
-
-
-@pytest.mark.parametrize(
-    "shape", [(1, 1), (3, 3), (8, 5), (5, 8), (12, 12), (6, 1), (1, 6), (17, 9)]
-)
-def test_jacobi_svd_matches_numpy(shape):
-    a = _random_matrix(shape, seed=rng.split(1, shape[0], shape[1]))
-    u, s, vt = jacobi_svd(a)
-    k = min(shape)
-    assert u.shape == (shape[0], k) and s.shape == (k,) and vt.shape == (k, shape[1])
-    # reconstruction
-    assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= 1e-12 * max(1.0, np.linalg.norm(a))
-    # orthonormal factors
-    assert np.allclose(u.T @ u, np.eye(k), atol=1e-12)
-    assert np.allclose(vt @ vt.T, np.eye(k), atol=1e-12)
-    # singular values match the reference implementation
-    assert np.allclose(s, np.linalg.svd(a, compute_uv=False), atol=1e-10)
-
-
-def test_jacobi_svd_rank_deficient():
-    a = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 4.0))  # rank 1
-    u, s, vt = jacobi_svd(a)
-    assert np.allclose(u @ np.diag(s) @ vt, a, atol=1e-12)
-    assert s[0] > 1e-9
-    assert np.all(s[1:] <= 1e-12 * s[0])
-
-
-def test_jacobi_svd_zero_matrix():
-    u, s, vt = jacobi_svd(np.zeros((4, 3)))
-    assert np.all(s == 0.0)
-    assert np.allclose(u @ np.diag(s) @ vt, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +138,13 @@ def test_kronecker_product_has_tt_rank_one():
     assert err <= 1e-12
 
 
+def test_tt_svd_zero_matrix():
+    w = tensor(np.zeros((16, 16)))
+    tt = tt_svd(w, ModeFactorization((4, 2, 2), (2, 4, 2)))
+    assert tt.ranks == (1, 1, 1, 1)
+    assert np.all(reconstruct(tt).array == 0.0)
+
+
 def test_tt_svd_shape_guard():
     w = tensor(np.ones((8, 8)))
     with pytest.raises(ShapeMismatch):
@@ -233,35 +202,6 @@ def test_tt_matvec_rejects_bad_length():
     tt = random_tt(facto, (1, 2, 1), seed=0)
     with pytest.raises(ShapeMismatch):
         tt_matvec(tt, tensor(np.ones(15)))
-
-
-def test_tt_matvec_backward_finite_difference():
-    facto = ModeFactorization((3, 2), (2, 4))
-    tt = random_tt(facto, (1, 3, 1), seed=12)
-    x = tensor(rng.normal(13, facto.cols))
-    dy = tensor(rng.normal(14, facto.rows))
-    dcores, dx = tt_matvec_backward(tt, x, dy)
-
-    def value(cores, xv):
-        t = TTMatrix(facto, tt.ranks, tuple(DenseTensor(c) for c in cores))
-        return float(dy.array @ (reconstruct(t).array @ xv))
-
-    h = 1e-6
-    base_cores = [c.copy() for c in tt.core_arrays()]
-    # a couple of representative core coordinates
-    for k, idx in ((0, (1, 1, 0, 2)), (1, (0, 3, 2, 0))):
-        plus = [c.copy() for c in base_cores]
-        minus = [c.copy() for c in base_cores]
-        plus[k][idx] += h
-        minus[k][idx] -= h
-        fd = (value(plus, x.array) - value(minus, x.array)) / (2 * h)
-        assert abs(fd - dcores[k].array[idx]) <= 1e-6 * max(1.0, abs(fd))
-    for j in (0, 5):
-        xp, xm = x.array.copy(), x.array.copy()
-        xp[j] += h
-        xm[j] -= h
-        fd = (value(base_cores, xp) - value(base_cores, xm)) / (2 * h)
-        assert abs(fd - dx.array[j]) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_tt_matvec_macs_pinned():
