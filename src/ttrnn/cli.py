@@ -1,16 +1,15 @@
 """Command line front end wiring the pipeline together for batch use.
 
-Subcommands: clean, filter, build-vocab, train, evaluate, predict,
-compress, benchmark.  Every command exits 0 on success, 2 on usage or
-data errors, and 1 on internal faults.  Diagnostics go to standard
-error; data and tables go to standard output.  The TTRNN_LOG
-environment variable (quiet | info | debug) sets the diagnostic level.
+Subcommands: clean, filter, build-vocab, train, evaluate, predict and
+compress.  Every command exits 0 on success, 2 on usage or data errors,
+and 1 on internal faults.  Diagnostics go to standard error; data and
+tables go to standard output.  The TTRNN_LOG environment variable
+(quiet | info | debug) sets the diagnostic level.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -38,7 +37,6 @@ from .textpipe import (
 )
 from .training import (
     TrainConfig,
-    benchmark_pair,
     drop_untokenizable,
     encode_examples,
     evaluate_model,
@@ -119,25 +117,6 @@ def _print_report(labels, report: MetricsReport, stream=None) -> None:
         stream.write("loss %.6f\n" % report.loss)
 
 
-def _config_from_args(args, **overrides) -> TrainConfig:
-    kw = dict(
-        hidden_dim=args.hidden,
-        embed_dim=args.embed,
-    )
-    ranks = getattr(args, "tt_ranks", None)
-    if ranks:
-        if len(ranks) == 1:
-            kw["tt_ranks"] = ranks[0]
-        else:
-            kw["tt_rank_vector"] = ranks
-    if getattr(args, "tt_modes", None):
-        kw["tt_out_modes"] = args.tt_modes
-    if getattr(args, "tt_in_modes", None):
-        kw["tt_in_modes"] = args.tt_in_modes
-    kw.update(overrides)
-    return TrainConfig(**kw)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,8 +164,13 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     examples = _load_examples(args.data)
-    config = _config_from_args(
-        args,
+    ranks = args.tt_ranks or ()
+    rank_kw = {"tt_ranks": ranks[0]} if len(ranks) == 1 else {"tt_rank_vector": ranks or None}
+    config = TrainConfig(
+        hidden_dim=args.hidden,
+        embed_dim=args.embed,
+        tt_out_modes=args.tt_modes,
+        tt_in_modes=args.tt_in_modes,
         epochs_max=args.epochs,
         early_stop_patience=args.patience,
         batch_size=args.batch,
@@ -200,6 +184,7 @@ def cmd_train(args) -> int:
         candidate_bias=not args.no_candidate_bias,
         clip_norm=args.clip,
         timing=args.timing,
+        **rank_kw,
     )
     log_path = args.log if args.log is not None else args.out + ".log.jsonl"
     with open(log_path, "w", encoding="utf-8") as log_stream:
@@ -297,87 +282,6 @@ def cmd_compress(args) -> int:
     print("params %d, ratio %.2f" % (param_count(tt), compression_ratio(tt)))
     print("ranks %s" % ",".join(str(r) for r in tt.ranks))
     print("reconstruction error %.6e" % err)
-    return 0
-
-
-def _parse_pairs(text: str):
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        left, sep, right = chunk.partition(":")
-        if not sep or not left or not right:
-            raise ShapeMismatch(
-                "pair %r is not of the form dense:tensorized" % chunk
-            )
-        pairs.append((left.strip(), right.strip()))
-    if not pairs:
-        raise ShapeMismatch("no benchmark pairs given")
-    for a, b in pairs:
-        for kind in (a, b):
-            if kind.replace("-", "_") not in KINDS:
-                raise ShapeMismatch("unknown cell kind %r" % kind)
-    return pairs
-
-
-def cmd_benchmark(args) -> int:
-    config = _config_from_args(args)
-    rows = []
-    for dense_kind, tensor_kind in _parse_pairs(args.pairs):
-        log.info("timing %s vs %s", dense_kind, tensor_kind)
-        rows.extend(
-            benchmark_pair(dense_kind, tensor_kind, config, steps=args.steps, seed=args.seed)
-        )
-    headers = (
-        "kind",
-        "hidden",
-        "embed",
-        "input-map-params",
-        "total-params",
-        "macs/step",
-        "step-us",
-    )
-    table = [
-        (
-            row["kind"],
-            str(row["hidden"]),
-            str(row["embed"]),
-            str(row["input_map_params"]),
-            str(row["total_params"]),
-            str(row["macs_per_step"]),
-            "%.1f" % (row["median_step_seconds"] * 1e6),
-        )
-        for row in rows
-    ]
-    widths = [
-        max(len(headers[c]), max(len(line[c]) for line in table))
-        for c in range(len(headers))
-    ]
-    def fmt(line):
-        first = line[0].ljust(widths[0])
-        rest = [line[c].rjust(widths[c]) for c in range(1, len(headers))]
-        return "  ".join([first] + rest)
-    print(fmt(headers))
-    for line in table:
-        print(fmt(line))
-    if args.csv:
-        fields = (
-            "kind",
-            "hidden",
-            "embed",
-            "gates",
-            "input_map_params",
-            "total_params",
-            "macs_per_step",
-            "median_step_seconds",
-        )
-        with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=fields)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row[k] for k in fields})
-        log.info("wrote %s", args.csv)
     return 0
 
 
@@ -610,46 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="tensor-train output path")
     p.set_defaults(func=cmd_compress)
-
-    p = sub.add_parser(
-        "benchmark",
-        help="compare dense and tensorized cells",
-        description="Time single cell steps and compare parameter counts and "
-        "multiply-accumulate estimates for dense:tensorized pairs.",
-    )
-    p.add_argument(
-        "--pairs",
-        default="gru:t-gru",
-        help="comma-separated dense:tensorized pairs (default: gru:t-gru)",
-    )
-    p.add_argument("--hidden", type=int, default=64, help="hidden size (default: 64)")
-    p.add_argument("--embed", type=int, default=64, help="embedding size (default: 64)")
-    p.add_argument(
-        "--tt-modes",
-        type=_comma_ints,
-        default=None,
-        help="output mode sizes for the tensorized side (default: automatic)",
-    )
-    p.add_argument(
-        "--tt-in-modes",
-        type=_comma_ints,
-        default=None,
-        help="input mode sizes for the tensorized side (default: automatic)",
-    )
-    p.add_argument(
-        "--tt-ranks",
-        type=_comma_ints,
-        default=None,
-        help="rank vector, or a single interior rank (default: 4)",
-    )
-    p.add_argument(
-        "--steps", type=int, default=200, help="timed steps per cell (default: 200)"
-    )
-    p.add_argument("--seed", type=int, default=0, help="weight seed (default: 0)")
-    p.add_argument(
-        "--csv", default=None, help="also write the table as CSV to this path"
-    )
-    p.set_defaults(func=cmd_benchmark)
 
     return parser
 

@@ -6,21 +6,25 @@ float64 count, the raw little-endian float64 blob of every weight in the
 order the manifest declares, and a trailing CRC-32 over all preceding
 bytes.  The manifest embeds the vocabulary (with its own CRC-32) so a
 model file is self-contained for prediction; floats round-trip bitwise.
+Loading raises ChecksumMismatch when the bytes do not fit together and
+ParseError when a CRC-valid manifest or weight is malformed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Variable
 from .cells import CellSpec, CellWeights, weight_templates
-from .errors import ChecksumMismatch, FormatVersionMismatch, ParseError, ShapeMismatch
-from .tensor import DenseTensor
+from .errors import ChecksumMismatch, FormatVersionMismatch, ParseError
+from .tensor import DenseTensor, _wrap
 from .textpipe import Vocabulary
 from .ttcore import ModeFactorization, TTMatrix
 
@@ -53,35 +57,63 @@ def _write_container(path: str, manifest: dict, arrays) -> None:
         f.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
+# what interpreting a CRC-valid but malformed manifest raises: wrong types,
+# missing keys, out-of-range numbers
+_MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
+
+
+@contextmanager
+def _manifest_fields(path: str):
+    """Re-raise a malformed manifest field as ParseError."""
+    try:
+        yield
+    except _MALFORMED as e:
+        raise ParseError(
+            "%s has a malformed manifest: %s: %s" % (path, type(e).__name__, e)
+        ) from None
+
+
 def _read_container(path: str):
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < 12 or data[:4] != MAGIC:
+    # magic, manifest length, float count and CRC take 20 bytes
+    if len(data) < 20 or data[:4] != MAGIC:
         raise ChecksumMismatch("%s is not a model container (bad header)" % path)
     if zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise ChecksumMismatch("%s failed its integrity check" % path)
-    offset = 4
-    (manifest_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    manifest = json.loads(data[offset : offset + manifest_len].decode("utf-8"))
-    offset += manifest_len
-    (count,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-
+    (manifest_len,) = struct.unpack_from("<I", data, 4)
+    offset = 8 + manifest_len
+    if offset + 8 > len(data) - 4:
+        raise ChecksumMismatch("%s: manifest length overruns the file" % path)
+    try:
+        manifest = json.loads(data[8:offset].decode("utf-8"))
+    except (RecursionError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise ParseError("%s: manifest is not UTF-8 JSON: %s" % (path, e)) from None
+    if not isinstance(manifest, dict):
+        raise ParseError(
+            "%s: manifest is a JSON %s, not an object" % (path, type(manifest).__name__)
+        )
+    # the version fixes the layout of everything after the manifest
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(found=version, supported=FORMAT_VERSION)
-
+    (count,) = struct.unpack_from("<Q", data, offset)
+    offset += 8
+    if count * 8 != len(data) - 4 - offset:
+        raise ChecksumMismatch("%s: float count %d does not match the weight bytes" % (path, count))
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+    if not np.isfinite(flat).all():
+        raise ParseError("%s holds non-finite weights" % path)
     arrays = []
     pos = 0
-    for entry in manifest["weights"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape, dtype=np.int64))
-        if pos + n > flat.size:
-            raise ChecksumMismatch("weight blob shorter than the manifest declares")
-        arrays.append(flat[pos : pos + n].reshape(shape).copy())
-        pos += n
+    with _manifest_fields(path):
+        for entry in manifest["weights"]:
+            shape = tuple(int(d) for d in entry["shape"])
+            n = math.prod(shape)
+            if pos + n > flat.size:
+                raise ChecksumMismatch("weight blob shorter than the manifest declares")
+            arrays.append(flat[pos : pos + n].reshape(shape).copy())
+            pos += n
     if pos != flat.size:
         raise ChecksumMismatch("weight blob longer than the manifest declares")
     return manifest, arrays
@@ -134,31 +166,35 @@ def load_model(path: str) -> ModelBundle:
     manifest, arrays = _read_container(path)
     if manifest.get("kind") != "model":
         raise ChecksumMismatch("%s holds a %r, not a model" % (path, manifest.get("kind")))
-    spec = CellSpec.from_dict(manifest["cell"])
-    expected = weight_templates(spec)
-    declared = [(e["name"], tuple(e["shape"])) for e in manifest["weights"]]
-    if declared != expected:
-        raise ChecksumMismatch("weight list does not match the declared cell")
-    vocab = Vocabulary.from_dict(manifest["vocab"])
-    if vocab_crc32(vocab) != manifest["vocab_crc32"]:
-        raise ChecksumMismatch("vocabulary failed its integrity check")
-    values = {
-        name: Variable(DenseTensor(arr)) for (name, _), arr in zip(expected, arrays)
-    }
+    with _manifest_fields(path):
+        spec = CellSpec.from_dict(manifest["cell"])
+        expected = weight_templates(spec)
+        declared = [(e["name"], tuple(e["shape"])) for e in manifest["weights"]]
+        if declared != expected:
+            raise ChecksumMismatch("weight list does not match the declared cell")
+        vocab = Vocabulary.from_dict(manifest["vocab"])
+        if vocab_crc32(vocab) != manifest["vocab_crc32"]:
+            raise ChecksumMismatch("vocabulary failed its integrity check")
+        labels = tuple(manifest["labels"])
+        if len(labels) != spec.num_classes:
+            raise ChecksumMismatch("label list does not match the declared cell")
+        task, max_len = manifest["task"], int(manifest["max_len"])
+    # _read_container already copied each array and checked it is finite
+    values = {name: Variable(_wrap(arr)) for (name, _), arr in zip(expected, arrays)}
     return ModelBundle(
         spec=spec,
         weights=CellWeights(spec, values),
         vocab=vocab,
-        task=manifest["task"],
-        labels=tuple(manifest["labels"]),
-        max_len=int(manifest["max_len"]),
+        task=task,
+        labels=labels,
+        max_len=max_len,
         train_config=manifest.get("train_config"),
         metrics=manifest.get("metrics"),
         split=manifest.get("split"),
     )
 
 
-def save_ttmatrix(tt: TTMatrix, path: str, extra: dict | None = None) -> None:
+def save_ttmatrix(tt: TTMatrix, path: str) -> None:
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "ttmatrix",
@@ -172,8 +208,6 @@ def save_ttmatrix(tt: TTMatrix, path: str, extra: dict | None = None) -> None:
             for k, core in enumerate(tt.cores)
         ],
     }
-    if extra:
-        manifest.update(extra)
     _write_container(path, manifest, [c.array for c in tt.cores])
 
 
@@ -183,13 +217,14 @@ def load_ttmatrix(path: str):
         raise ChecksumMismatch(
             "%s holds a %r, not a ttmatrix" % (path, manifest.get("kind"))
         )
-    info = manifest["tt"]
-    facto = ModeFactorization(tuple(info["out_modes"]), tuple(info["in_modes"]))
-    tt = TTMatrix(
-        facto,
-        tuple(info["ranks"]),
-        tuple(DenseTensor(a) for a in arrays),
-    )
+    with _manifest_fields(path):
+        info = manifest["tt"]
+        facto = ModeFactorization(tuple(info["out_modes"]), tuple(info["in_modes"]))
+        tt = TTMatrix(
+            facto,
+            tuple(info["ranks"]),
+            tuple(_wrap(a) for a in arrays),
+        )
     return tt, manifest
 
 

@@ -31,7 +31,7 @@ from .metrics import MetricsReport, evaluate as evaluate_metrics
 from .modelio import ModelBundle
 from .tensor import _wrap
 from .textpipe import EMOTIONS, SENTIMENTS, EncodedExample, build_vocab, encode, tokenize
-from .ttcore import choose_factorization, tt_matvec_macs, uniform_ranks
+from .ttcore import choose_factorization, uniform_ranks
 
 _EVAL_BATCH = 64  # fixed so stored metrics reproduce regardless of train batch size
 
@@ -98,17 +98,10 @@ class TrainConfig:
 # splitting
 
 
-def _class_of(example):
-    if hasattr(example, "class_id"):
-        return example.class_id
-    if hasattr(example, "emotion_label"):
-        return example.emotion_label
-    raise ShapeMismatch("cannot find a class on %r" % (example,))
-
-
-def split_train_test(examples, fraction: float, seed: int, key=None):
+def split_train_test(examples, fraction: float, seed: int, key):
     """Stratified, seeded, exact partition into (train, test).
 
+    `key(example)` gives the class each example is stratified by.
     Per-class train counts follow the largest-remainder rule against the
     global target round(fraction * n), then are clamped so every class
     keeps at least one example on each side.  Output lists preserve the
@@ -119,7 +112,6 @@ def split_train_test(examples, fraction: float, seed: int, key=None):
         raise ClassTooSmall("need at least 2 examples to split")
     if not 0.0 < fraction < 1.0:
         raise ShapeMismatch("fraction must be in (0, 1)")
-    key = key or _class_of
     by_class: dict = {}
     for i, ex in enumerate(examples):
         by_class.setdefault(key(ex), []).append(i)
@@ -509,48 +501,3 @@ def train(
         split={"fraction": config.split_fraction, "seed": config.seed},
     )
     return bundle, records
-
-
-# ---------------------------------------------------------------------------
-# benchmark
-
-
-def benchmark_pair(dense_kind: str, tensor_kind: str, config: TrainConfig, steps: int = 1000, seed: int = 0):
-    """Measure one dense/tensorized pair.  Returns one row dict per kind.
-
-    Parameter counts are exact; the multiply-accumulate estimate covers
-    the input maps (H*E per gate dense, the contraction formula for TT);
-    wall time is the median over `steps` single cell steps after warmup.
-    """
-    rows = []
-    for kind in (dense_kind, tensor_kind):
-        spec = build_cell_spec(kind, 2, config, 2)
-        weights = init_weights(spec, seed)
-        gates = len(spec.gates)
-        if spec.tensorized:
-            macs = gates * tt_matvec_macs(spec.facto, spec.tt_ranks)
-        else:
-            macs = gates * spec.hidden_dim * spec.embed_dim
-        counts = param_counts(spec)
-        x = Variable(_wrap(rng.normal(rng.split(seed, "bench-x"), spec.embed_dim)))
-        state = cells_mod.init_state(spec)
-        for _ in range(50):  # warmup
-            cells_mod.step(Tape(), spec, weights, x, state)
-        times = []
-        for _ in range(max(steps, 1)):
-            t0 = time.perf_counter()
-            cells_mod.step(Tape(), spec, weights, x, state)
-            times.append(time.perf_counter() - t0)
-        rows.append(
-            {
-                "kind": kind,
-                "hidden": spec.hidden_dim,
-                "embed": spec.embed_dim,
-                "gates": gates,
-                "input_map_params": counts["input_maps"],
-                "total_params": counts["total"],
-                "macs_per_step": macs,
-                "median_step_seconds": float(np.median(times)),
-            }
-        )
-    return rows

@@ -1,6 +1,8 @@
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -9,6 +11,21 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
+
+
+def split_container(raw: bytes):
+    """(manifest bytes, float count, weight blob) of a model container."""
+    (mlen,) = struct.unpack_from("<I", raw, 4)
+    (count,) = struct.unpack_from("<Q", raw, 8 + mlen)
+    return raw[8 : 8 + mlen], count, raw[16 + mlen : -4]
+
+
+def seal_container(manifest: bytes, count: int, blob: bytes) -> bytes:
+    """A model container around the given parts, with a valid CRC."""
+    from ttrnn.modelio import MAGIC
+
+    body = MAGIC + struct.pack("<I", len(manifest)) + manifest + struct.pack("<Q", count) + blob
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def run_cli(args, cwd=None, env_extra=None):

@@ -5,25 +5,28 @@ conftest), so these tests cover argument parsing, exit codes, logging and
 the exact stdout contracts other tooling is expected to scrape.
 """
 
+import argparse
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import data_path, run_cli
+from conftest import DATA_DIR, data_path, run_cli, seal_container, split_container
 
-HELP_PAGES = [
-    ("main", []),
-    ("clean", ["clean"]),
-    ("filter", ["filter"]),
-    ("build_vocab", ["build-vocab"]),
-    ("train", ["train"]),
-    ("evaluate", ["evaluate"]),
-    ("predict", ["predict"]),
-    ("compress", ["compress"]),
-    ("benchmark", ["benchmark"]),
-]
+
+def _subcommands():
+    from ttrnn.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+# one golden per live command: help_main.txt for the top level, then
+# help_<command>.txt with "-" spelled "_"
+HELP_PAGES = [("main", [])] + [(c.replace("-", "_"), [c]) for c in _subcommands()]
 
 
 @pytest.mark.parametrize("name,prefix", HELP_PAGES, ids=[n for n, _ in HELP_PAGES])
@@ -33,6 +36,21 @@ def test_help_pages_match_goldens(name, prefix):
     with open(data_path("help_%s.txt" % name), "r", encoding="utf-8") as f:
         assert proc.stdout == f.read()
     assert proc.stderr == ""
+
+
+def test_every_help_golden_belongs_to_a_live_command():
+    goldens = {
+        f[len("help_") : -len(".txt")]
+        for f in os.listdir(DATA_DIR)
+        if f.startswith("help_") and f.endswith(".txt")
+    }
+    assert goldens == {name for name, _ in HELP_PAGES}
+
+
+def test_benchmark_is_not_a_command():
+    proc = run_cli(["benchmark"])
+    assert proc.returncode == 2
+    assert "invalid choice: 'benchmark'" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +435,38 @@ def test_predict_text_with_no_tokens_exits_2(trained):
     assert "EmptyAfterEncoding" in proc.stderr
 
 
+def _without_weights(manifest, count, blob):
+    m = json.loads(manifest)
+    del m["weights"]
+    return json.dumps(m).encode("utf-8"), count, blob
+
+
+# each maps (manifest, count, blob) of a good model to a CRC-valid bad one
+MALFORMED_MODELS = {
+    "manifest-not-json": lambda m, c, b: (b"{not json", c, b),
+    "manifest-not-utf8": lambda m, c, b: (b"\xff\xfe{}", c, b),
+    "manifest-is-a-list": lambda m, c, b: (b"[1,2,3]", c, b),
+    "manifest-without-weights": _without_weights,
+    "count-beyond-file": lambda m, c, b: (m, 10**6, b),
+    "nan-weight": lambda m, c, b: (m, c, struct.pack("<d", float("nan")) + b[8:]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_predict_malformed_model_exits_2(trained, tmp_path, case):
+    with open(trained["model"], "rb") as f:
+        raw = f.read()
+    bad = tmp_path / "bad.ttrnn"
+    bad.write_bytes(seal_container(*MALFORMED_MODELS[case](*split_container(raw))))
+    proc = run_cli(["predict", "--model", str(bad), "--text", "feeling happy today"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), proc.stderr
+
+
 # ---------------------------------------------------------------------------
-# compress / benchmark
+# compress
 
 
 @pytest.fixture(scope="module")
@@ -523,41 +571,3 @@ def test_compress_rejects_ranks_with_eps(big_matrix, tmp_path):
         ]
     )
     assert proc.returncode == 2
-
-
-def test_benchmark_prints_table_and_csv(tmp_path):
-    csv_path = str(tmp_path / "bench.csv")
-    proc = run_cli(
-        [
-            "benchmark",
-            "--hidden",
-            "32",
-            "--embed",
-            "32",
-            "--steps",
-            "2",
-            "--csv",
-            csv_path,
-        ]
-    )
-    assert proc.returncode == 0
-    lines = proc.stdout.splitlines()
-    assert lines[0].split() == [
-        "kind",
-        "hidden",
-        "embed",
-        "input-map-params",
-        "total-params",
-        "macs/step",
-        "step-us",
-    ]
-    rows = {line.split()[0]: line.split() for line in lines[1:]}
-    assert set(rows) == {"gru", "t-gru"}
-    # the tensorized input map must be the smaller one
-    assert int(rows["t-gru"][3]) < int(rows["gru"][3])
-    import csv as csv_mod
-
-    with open(csv_path, "r", encoding="utf-8", newline="") as f:
-        stored = list(csv_mod.DictReader(f))
-    assert len(stored) == 2
-    assert stored[0]["kind"] == "gru"

@@ -1,13 +1,15 @@
+import copy
 import json
 import struct
-import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttrnn.errors import ChecksumMismatch, FormatVersionMismatch, ParseError
+from conftest import seal_container, split_container
+from ttrnn.errors import ChecksumMismatch, FormatVersionMismatch, ParseError, TtrnnError
 from ttrnn.modelio import (
-    MAGIC,
     load_matrix_csv,
     load_model,
     load_ttmatrix,
@@ -76,16 +78,11 @@ def test_wrong_magic_detected(tmp_path):
 def test_future_format_version_rejected_with_details(tmp_path, tiny_bundle):
     bundle, _, _ = tiny_bundle
     p = _model_path(tmp_path, bundle)
-    raw = p.read_bytes()
     # splice a bumped format_version into the manifest and re-seal the file
-    (mlen,) = struct.unpack_from("<I", raw, 4)
-    manifest = json.loads(raw[8 : 8 + mlen].decode("utf-8"))
+    manifest, count, blob = split_container(p.read_bytes())
+    manifest = json.loads(manifest.decode("utf-8"))
     manifest["format_version"] = 99
-    payload = json.dumps(
-        manifest, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("utf-8")
-    body = MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + mlen : -4]
-    p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    p.write_bytes(seal_container(json.dumps(manifest).encode("utf-8"), count, blob))
     with pytest.raises(FormatVersionMismatch) as err:
         load_model(str(p))
     assert err.value.found == 99
@@ -113,6 +110,81 @@ def test_ttmatrix_round_trip(tmp_path):
     assert again.ranks == tt.ranks
     assert np.array_equal(reconstruct(again).array, reconstruct(tt).array)
     assert manifest["tt"]["ranks"] == [1, 3, 2, 1]
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 2**70)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated(draw, base: dict) -> dict:
+    """`base` with one to three nested values replaced or deleted."""
+    m = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        node = m
+        while node:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+            elif isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = draw(_JSON)
+                break
+    return m
+
+
+@pytest.fixture(scope="module")
+def valid_containers(tiny_bundle, tmp_path_factory):
+    """(manifest dict, float count, blob) of a saved model and a saved TT matrix."""
+    d = tmp_path_factory.mktemp("containers")
+    save_model(tiny_bundle[0], str(d / "m.ttrn"))
+    tt = random_tt(ModeFactorization((4, 2), (2, 4)), (1, 3, 1), seed=1)
+    save_ttmatrix(tt, str(d / "w.tt"))
+    bases = []
+    for name in ("m.ttrn", "w.tt"):
+        manifest, count, blob = split_container((d / name).read_bytes())
+        bases.append((json.loads(manifest), count, blob))
+    return bases, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_crc_valid_garbage_raises_only_package_errors(valid_containers, data):
+    """A CRC-valid container with any manifest and count raises only TtrnnError."""
+    bases, d = valid_containers
+    manifest, count, blob = data.draw(st.sampled_from(bases))
+    manifest_bytes = data.draw(
+        st.one_of(
+            st.binary(max_size=64),
+            _JSON.map(lambda v: json.dumps(v).encode("utf-8")),
+            _mutated(manifest).map(lambda m: json.dumps(m).encode("utf-8")),
+        )
+    )
+    count, blob = data.draw(
+        st.one_of(
+            st.just((count, blob)),
+            st.tuples(st.integers(0, 2**64 - 1), st.just(blob)),
+            st.lists(st.floats(width=64), max_size=8).map(
+                lambda xs: (len(xs), struct.pack("<%dd" % len(xs), *xs))
+            ),
+        )
+    )
+    p = d / "garbage.ttrn"
+    p.write_bytes(seal_container(manifest_bytes, count, blob))
+    for load in (load_model, load_ttmatrix):
+        try:
+            load(str(p))
+        except TtrnnError:
+            pass
 
 
 def test_load_matrix_csv(tmp_path):

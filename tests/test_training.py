@@ -10,7 +10,6 @@ from ttrnn.textpipe import CleanExample
 from ttrnn.training import (
     TrainConfig,
     adam_step,
-    benchmark_pair,
     build_cell_spec,
     clip_gradients,
     evaluate_model,
@@ -53,15 +52,15 @@ def test_train_config_validation():
 
 
 def test_split_pinned_sizes():
-    train_part, test_part = split_train_test(_balanced(100), 0.8, seed=0)
+    train_part, test_part = split_train_test(_balanced(100), 0.8, seed=0, key=lambda e: e.class_id)
     assert len(train_part) == 80 and len(test_part) == 20
-    train_part, test_part = split_train_test(_balanced(10), 0.5, seed=0)
+    train_part, test_part = split_train_test(_balanced(10), 0.5, seed=0, key=lambda e: e.class_id)
     assert len(train_part) == 5 and len(test_part) == 5
 
 
 def test_split_is_stratified():
     examples = [_Tagged(i, 0) for i in range(40)] + [_Tagged(i, 1) for i in range(10)]
-    train_part, test_part = split_train_test(examples, 0.8, seed=3)
+    train_part, test_part = split_train_test(examples, 0.8, seed=3, key=lambda e: e.class_id)
     train_minority = sum(1 for e in train_part if e.class_id == 1)
     assert train_minority == 8
     assert sum(1 for e in test_part if e.class_id == 1) == 2
@@ -69,7 +68,7 @@ def test_split_is_stratified():
 
 def test_split_partition_properties():
     examples = _balanced(33, classes=3)
-    train_part, test_part = split_train_test(examples, 0.7, seed=9)
+    train_part, test_part = split_train_test(examples, 0.7, seed=9, key=lambda e: e.class_id)
     ids = sorted(e.i for e in train_part) + sorted(e.i for e in test_part)
     assert sorted(ids) == list(range(33))
     # every class present on both sides
@@ -77,8 +76,8 @@ def test_split_partition_properties():
         assert any(e.class_id == c for e in train_part)
         assert any(e.class_id == c for e in test_part)
     # deterministic, seed-sensitive
-    again = split_train_test(examples, 0.7, seed=9)
-    other = split_train_test(examples, 0.7, seed=10)
+    again = split_train_test(examples, 0.7, seed=9, key=lambda e: e.class_id)
+    other = split_train_test(examples, 0.7, seed=10, key=lambda e: e.class_id)
     assert [e.i for e in again[0]] == [e.i for e in train_part]
     assert [e.i for e in other[0]] != [e.i for e in train_part]
 
@@ -86,11 +85,11 @@ def test_split_partition_properties():
 def test_split_rejects_singleton_class():
     examples = _balanced(9, classes=2) + [_Tagged(99, 7)]
     with pytest.raises(ClassTooSmall):
-        split_train_test(examples, 0.8, seed=0)
+        split_train_test(examples, 0.8, seed=0, key=lambda e: e.class_id)
 
 
 def test_split_extreme_fraction_keeps_one_per_side():
-    train_part, test_part = split_train_test(_balanced(4), 0.99, seed=0)
+    train_part, test_part = split_train_test(_balanced(4), 0.99, seed=0, key=lambda e: e.class_id)
     assert len(test_part) >= 2  # one per class
 
 
@@ -192,6 +191,8 @@ def test_param_counts_match_templates():
     total = sum(int(np.prod(s)) for _, s in weight_templates(spec))
     assert counts["total"] == total
     assert 0 < counts["input_maps"] < total
+    dense = param_counts(build_cell_spec("lstm", 30, TrainConfig(hidden_dim=16, embed_dim=16), 4))
+    assert counts["total"] < dense["total"]
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +308,3 @@ def test_evaluate_model_empty_rejected(tiny_bundle):
     bundle, _, _ = tiny_bundle
     with pytest.raises(EmptyTestSet):
         evaluate_model(bundle.spec, bundle.weights, [])
-
-
-# ---------------------------------------------------------------------------
-# benchmark
-
-
-def test_benchmark_pair_rows():
-    config = TrainConfig(hidden_dim=16, embed_dim=16)
-    rows = benchmark_pair("gru", "t-gru", config, steps=5, seed=0)
-    assert [r["kind"] for r in rows] == ["gru", "t-gru"]
-    dense, tens = rows
-    assert dense["input_map_params"] == 3 * 16 * 16
-    assert tens["input_map_params"] < dense["input_map_params"]
-    assert tens["macs_per_step"] > 0
-    assert dense["median_step_seconds"] > 0
-    assert tens["total_params"] < dense["total_params"]
