@@ -20,8 +20,7 @@ import numpy as np
 from .cells import KINDS
 from .errors import ShapeMismatch, TtrnnError
 from .metrics import MetricsReport
-from .modelio import load_matrix_csv, load_model, save_model, save_ttmatrix
-from .tensor import DenseTensor
+from .modelio import load_matrix, load_model, save_model, save_ttmatrix
 from .textpipe import (
     build_vocab,
     clean_example,
@@ -88,13 +87,13 @@ def _configure_logging() -> None:
         log.warning("unknown TTRNN_LOG value %r, using info", name)
 
 
-def _load_examples(path: str, fmt: str | None = None):
+def _load_examples(path: str):
     """Cleaned examples from either a cleaned JSONL file or a raw dataset."""
-    if fmt is None and looks_like_clean_jsonl(path):
+    if looks_like_clean_jsonl(path):
         examples = load_clean_jsonl(path)
         log.info("loaded %d cleaned records from %s", len(examples), path)
         return examples
-    raws = load_dataset(path, fmt)
+    raws = load_dataset(path)
     log.info("loaded %d raw records from %s, cleaning", len(raws), path)
     return [clean_example(r) for r in raws]
 
@@ -164,8 +163,6 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     examples = _load_examples(args.data)
-    ranks = args.tt_ranks or ()
-    rank_kw = {"tt_ranks": ranks[0]} if len(ranks) == 1 else {"tt_rank_vector": ranks or None}
     config = TrainConfig(
         hidden_dim=args.hidden,
         embed_dim=args.embed,
@@ -184,7 +181,7 @@ def cmd_train(args) -> int:
         candidate_bias=not args.no_candidate_bias,
         clip_norm=args.clip,
         timing=args.timing,
-        **rank_kw,
+        tt_ranks=args.tt_ranks[0] if len(args.tt_ranks) == 1 else args.tt_ranks,
     )
     log_path = args.log if args.log is not None else args.out + ".log.jsonl"
     with open(log_path, "w", encoding="utf-8") as log_stream:
@@ -247,17 +244,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_dense_matrix(path: str) -> DenseTensor:
-    if path.endswith(".npy"):
-        arr = np.load(path, allow_pickle=False)
-        if arr.ndim != 2:
-            raise ShapeMismatch("expected a 2-d matrix, got shape %r" % (arr.shape,))
-        return DenseTensor(np.asarray(arr, dtype=np.float64))
-    return load_matrix_csv(path)
-
-
 def cmd_compress(args) -> int:
-    w = _load_dense_matrix(args.matrix)
+    w = load_matrix(args.matrix)
     rows, cols = w.shape
     if args.modes is not None and args.in_modes is not None:
         facto = ModeFactorization(args.modes, args.in_modes)
@@ -377,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tt-ranks",
         type=_comma_ints,
-        default=None,
+        default=(4,),
         help="rank vector r0,r1,...,rd (boundary ranks 1), or a single number "
         "used for every interior rank (default: 4)",
     )

@@ -15,6 +15,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+import tokenize
+import warnings
+import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ import numpy as np
 
 from .autodiff import Variable
 from .cells import CellSpec, CellWeights, weight_templates
-from .errors import ChecksumMismatch, FormatVersionMismatch, ParseError
+from .errors import ChecksumMismatch, FormatVersionMismatch, ParseError, ShapeMismatch
 from .tensor import DenseTensor, _wrap
 from .textpipe import Vocabulary
 from .ttcore import ModeFactorization, TTMatrix
@@ -228,10 +231,34 @@ def load_ttmatrix(path: str):
     return tt, manifest
 
 
-def load_matrix_csv(path: str) -> DenseTensor:
-    """Plain numeric CSV, one matrix row per line."""
+# what numpy's readers raise on malformed bytes: a bad header or body, a
+# file cut short, a declared shape too large to allocate, an unparsable
+# header, a file without data, a zip signature with no archive behind it
+_BAD_MATRIX_FILE = (EOFError, MemoryError, OverflowError, ValueError, tokenize.TokenError,
+                    UserWarning, zipfile.BadZipFile)
+
+
+def load_matrix(path: str) -> DenseTensor:
+    """A real, finite, non-empty 2-d matrix from .npy, else from numeric CSV rows."""
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as e:
-        raise ParseError("could not parse %s as a numeric CSV matrix: %s" % (path, e))
+        if str(path).endswith(".npy"):
+            with open(path, "rb") as f:  # closing it also closes an .npz archive
+                arr = np.load(f, allow_pickle=False)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns on a file without data
+                arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except _BAD_MATRIX_FILE as e:
+        raise ParseError(
+            "could not read %s as a matrix: %s: %s" % (path, type(e).__name__, e)
+        ) from None
+    if not isinstance(arr, np.ndarray):
+        raise ParseError("%s is an .npz archive, not an .npy array" % path)
+    if arr.dtype.kind not in "biuf":
+        raise ParseError("%s holds %s values, not real numbers" % (path, arr.dtype))
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeMismatch("expected a non-empty 2-d matrix, got shape %r" % (arr.shape,))
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ParseError("%s holds non-finite entries" % path)
     return DenseTensor(arr)

@@ -14,7 +14,6 @@ same string, which is what makes cached cleaned corpora safe to re-clean.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 from collections import Counter
@@ -265,53 +264,70 @@ def _register(seen: set, ex_id: str, line_no: int):
     seen.add(ex_id)
 
 
-def _load_csv(f) -> list:
-    reader = csv.DictReader(f)
-    if reader.fieldnames is None:
-        raise ParseError("empty file", line=1)
-    needed = {"id", "text", "label"}
-    if not needed.issubset(reader.fieldnames):
-        raise ParseError(
-            "header must include id, text, label; got %r" % (reader.fieldnames,), line=1
-        )
-    out = []
-    seen = set()
-    for row in reader:
-        line_no = reader.line_num
-        if any(row.get(k) is None for k in needed):
-            raise ParseError("row is missing fields", line=line_no)
-        ex_id = row["id"].strip()
-        if not ex_id:
-            raise ParseError("empty id", line=line_no)
-        _register(seen, ex_id, line_no)
-        out.append(RawExample(ex_id, row["text"], _check_label(row["label"], line_no)))
-    return out
+def _lines(path: str):
+    """Yield (line number, text) for each line of a UTF-8 text file.
+
+    Lines split where text mode with newline="" splits them: at LF, CRLF
+    or a lone CR.  Undecodable bytes are read as surrogates and reported per
+    line, which names the line that holds them; a strict text-mode read
+    fails up to a whole buffer ahead of it.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")  # valid UTF-8 never decodes to a surrogate
+                except UnicodeEncodeError:
+                    raise ParseError("not valid UTF-8", line=line_no) from None
+            yield line_no, line
 
 
-def _load_jsonl(f) -> list:
-    out = []
-    seen = set()
-    for line_no, line in enumerate(f, start=1):
+def _jsonl_records(path: str, fields):
+    """Yield (line number, object) per non-blank line; each object holds `fields`."""
+    for line_no, line in _lines(path):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError("bad JSON (%s)" % e.msg, line=line_no) from None
+        except (RecursionError, ValueError) as e:  # nesting too deep, integer too long
+            raise ParseError("bad JSON (%s)" % e, line=line_no) from None
         if not isinstance(obj, dict):
             raise ParseError("expected an object", line=line_no)
-        for k in ("id", "text", "label"):
+        if "\\u" in line:  # an escape can spell a lone surrogate, which UTF-8 cannot hold
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("string holds a lone surrogate escape", line=line_no) from None
+        for k in fields:
             if k not in obj:
                 raise ParseError("missing field %r" % k, line=line_no)
-        ex_id = str(obj["id"]).strip()
-        if not ex_id:
-            raise ParseError("empty id", line=line_no)
-        text = obj["text"]
-        if not isinstance(text, str):
-            raise ParseError("text must be a string", line=line_no)
-        _register(seen, ex_id, line_no)
-        out.append(RawExample(ex_id, text, _check_label(obj["label"], line_no)))
-    return out
+        yield line_no, obj
+
+
+def _csv_records(path: str, fields):
+    """Yield (line number, row dict) per CSV record; the header names `fields`.
+
+    The line number is the record's last line, as a quoted field may span
+    several.
+    """
+    reader = csv.DictReader(line for _, line in _lines(path))
+    try:
+        if reader.fieldnames is None:
+            raise ParseError("empty file", line=1)
+        if not set(fields).issubset(reader.fieldnames):
+            raise ParseError(
+                "header must include %s; got %r" % (", ".join(fields), reader.fieldnames),
+                line=1,
+            )
+        for row in reader:
+            if any(row.get(k) is None for k in fields):
+                raise ParseError("row is missing fields", line=reader.line_num)
+            yield reader.line_num, row
+    except csv.Error as e:
+        # DictReader.line_num only advances once a row parses
+        raise ParseError("bad CSV (%s)" % e, line=reader.reader.line_num) from None
 
 
 def load_dataset(path: str, fmt: str | None = None) -> list:
@@ -326,34 +342,37 @@ def load_dataset(path: str, fmt: str | None = None) -> list:
             raise ParseError("cannot infer format of %r; pass csv or jsonl" % (path,))
     if fmt not in ("csv", "jsonl"):
         raise ParseError("unknown format %r" % (fmt,))
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        if fmt == "csv":
-            return _load_csv(f)
-        return _load_jsonl(f)
+    read = _csv_records if fmt == "csv" else _jsonl_records
+    out = []
+    seen = set()
+    for line_no, rec in read(path, ("id", "text", "label")):
+        ex_id = str(rec["id"]).strip()
+        if not ex_id:
+            raise ParseError("empty id", line=line_no)
+        if not isinstance(rec["text"], str):
+            raise ParseError("text must be a string", line=line_no)
+        _register(seen, ex_id, line_no)
+        out.append(RawExample(ex_id, rec["text"], _check_label(rec["label"], line_no)))
+    return out
 
 
 def load_predictions(path: str) -> dict:
     """External sentiment calls: CSV with header id,sentiment."""
     allowed = {"Positive", "Negative", "Neutral"}
     out = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"id", "sentiment"}.issubset(reader.fieldnames):
-            raise ParseError("header must include id, sentiment", line=1)
-        for row in reader:
-            line_no = reader.line_num
-            ex_id = (row.get("id") or "").strip()
-            sentiment = row.get("sentiment")
-            if not ex_id:
-                raise ParseError("empty id", line=line_no)
-            if sentiment not in allowed:
-                raise ParseError(
-                    "sentiment must be Positive, Negative or Neutral, got %r" % (sentiment,),
-                    line=line_no,
-                )
-            if ex_id in out:
-                raise DuplicateId("duplicate id %r at line %d" % (ex_id, line_no))
-            out[ex_id] = sentiment
+    seen = set()
+    for line_no, row in _csv_records(path, ("id", "sentiment")):
+        ex_id = row["id"].strip()
+        sentiment = row["sentiment"]
+        if not ex_id:
+            raise ParseError("empty id", line=line_no)
+        if sentiment not in allowed:
+            raise ParseError(
+                "sentiment must be Positive, Negative or Neutral, got %r" % (sentiment,),
+                line=line_no,
+            )
+        _register(seen, ex_id, line_no)
+        out[ex_id] = sentiment
     return out
 
 
@@ -379,41 +398,30 @@ def write_clean_jsonl(examples, f):
 def load_clean_jsonl(path: str) -> list:
     out = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError("bad JSON (%s)" % e.msg, line=line_no) from None
-            if not isinstance(obj, dict):
-                raise ParseError("expected an object", line=line_no)
-            for k in ("id", "clean_text", "hashtags", "emotion_label", "sentiment_label"):
-                if k not in obj:
-                    raise ParseError("missing field %r" % k, line=line_no)
-            if not isinstance(obj["clean_text"], str):
-                raise ParseError("clean_text must be a string", line=line_no)
-            tags = obj["hashtags"]
-            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-                raise ParseError("hashtags must be a list of strings", line=line_no)
-            if obj["sentiment_label"] not in SENTIMENTS:
-                raise ParseError(
-                    "unknown sentiment %r (expected one of %s)"
-                    % (obj["sentiment_label"], ", ".join(SENTIMENTS)),
-                    line=line_no,
-                )
-            ex_id = str(obj["id"]).strip()
-            _register(seen, ex_id, line_no)
-            out.append(
-                CleanExample(
-                    id=ex_id,
-                    clean_text=obj["clean_text"],
-                    hashtags=tuple(tags),
-                    emotion_label=_check_label(obj["emotion_label"], line_no),
-                    sentiment_label=obj["sentiment_label"],
-                )
+    fields = ("id", "clean_text", "hashtags", "emotion_label", "sentiment_label")
+    for line_no, obj in _jsonl_records(path, fields):
+        if not isinstance(obj["clean_text"], str):
+            raise ParseError("clean_text must be a string", line=line_no)
+        tags = obj["hashtags"]
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ParseError("hashtags must be a list of strings", line=line_no)
+        if obj["sentiment_label"] not in SENTIMENTS:
+            raise ParseError(
+                "unknown sentiment %r (expected one of %s)"
+                % (obj["sentiment_label"], ", ".join(SENTIMENTS)),
+                line=line_no,
             )
+        ex_id = str(obj["id"]).strip()
+        _register(seen, ex_id, line_no)
+        out.append(
+            CleanExample(
+                id=ex_id,
+                clean_text=obj["clean_text"],
+                hashtags=tuple(tags),
+                emotion_label=_check_label(obj["emotion_label"], line_no),
+                sentiment_label=obj["sentiment_label"],
+            )
+        )
     return out
 
 
@@ -422,11 +430,8 @@ def looks_like_clean_jsonl(path: str) -> bool:
     if not str(path).lower().endswith((".jsonl", ".json")):
         return False
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    obj = json.loads(line)
-                    return isinstance(obj, dict) and "clean_text" in obj
-    except (OSError, json.JSONDecodeError):
+        for _, obj in _jsonl_records(path, ()):
+            return "clean_text" in obj
+    except (OSError, ParseError):
         return False
     return False

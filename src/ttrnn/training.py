@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,13 +45,12 @@ class TrainConfig:
     optimizer: str = "adam"
     seed: int = 0
     split_fraction: float = 0.8
-    tt_ranks: int = 4  # interior rank used when no explicit rank vector is given
+    tt_ranks: int | tuple = 4  # one interior rank, or the full vector (1, r1, ..., 1)
     hidden_dim: int = 64
     embed_dim: int = 64
     max_len: int = 40
     tt_out_modes: tuple | None = None
     tt_in_modes: tuple | None = None
-    tt_rank_vector: tuple | None = None
     min_count: int = 1
     max_vocab: int | None = None
     candidate_bias: bool = True
@@ -61,9 +60,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ShapeMismatch("split_fraction must be in (0, 1)")
-        for name in ("epochs_max", "batch_size", "hidden_dim", "embed_dim", "max_len", "tt_ranks", "min_count"):
+        for name in ("epochs_max", "batch_size", "hidden_dim", "embed_dim", "max_len", "min_count"):
             if int(getattr(self, name)) < 1:
                 raise ShapeMismatch("%s must be positive" % name)
+        if isinstance(self.tt_ranks, int) and self.tt_ranks < 1:
+            raise ShapeMismatch("tt_ranks must be positive")
         if self.early_stop_patience < 0:
             raise ShapeMismatch("early_stop_patience must be >= 0")
         if self.learning_rate <= 0:
@@ -72,26 +73,10 @@ class TrainConfig:
             raise ShapeMismatch("optimizer must be sgd or adam")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs_max": self.epochs_max,
-            "early_stop_patience": self.early_stop_patience,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "split_fraction": self.split_fraction,
-            "tt_ranks": self.tt_ranks,
-            "hidden_dim": self.hidden_dim,
-            "embed_dim": self.embed_dim,
-            "max_len": self.max_len,
-            "tt_out_modes": list(self.tt_out_modes) if self.tt_out_modes else None,
-            "tt_in_modes": list(self.tt_in_modes) if self.tt_in_modes else None,
-            "tt_rank_vector": list(self.tt_rank_vector) if self.tt_rank_vector else None,
-            "min_count": self.min_count,
-            "max_vocab": self.max_vocab,
-            "candidate_bias": self.candidate_bias,
-            "clip_norm": self.clip_norm,
-        }
+        """Every setting except `timing`, which changes no result."""
+        out = asdict(self)
+        del out["timing"]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,43 +199,24 @@ def clip_gradients(variables, max_norm: float):
 
 def build_cell_spec(kind: str, vocab_size: int, config: TrainConfig, num_classes: int) -> CellSpec:
     kind = kind.replace("-", "_")
-    if kind not in cells_mod.KINDS:
-        raise ShapeMismatch("unknown cell kind %r" % (kind,))
+    dims = (kind, vocab_size, config.embed_dim, config.hidden_dim, num_classes)
     if kind not in cells_mod.TENSORIZED:
-        return CellSpec(kind, vocab_size, config.embed_dim, config.hidden_dim, num_classes)
+        return CellSpec(*dims, candidate_bias=config.candidate_bias)
     if config.tt_out_modes is None and config.tt_in_modes is None:
         facto = choose_factorization(config.hidden_dim, config.embed_dim, 3)
         out_modes, in_modes = facto.out_modes, facto.in_modes
     elif config.tt_out_modes is None or config.tt_in_modes is None:
         raise ShapeMismatch("give both tt output and input modes, or neither")
     else:
-        out_modes = tuple(config.tt_out_modes)
-        in_modes = tuple(config.tt_in_modes)
-    prod_out = int(np.prod(out_modes, dtype=np.int64))
-    prod_in = int(np.prod(in_modes, dtype=np.int64))
-    if prod_out != config.hidden_dim:
-        raise ShapeMismatch(
-            "tt output modes multiply to %d but hidden size is %d"
-            % (prod_out, config.hidden_dim)
-        )
-    if prod_in != config.embed_dim:
-        raise ShapeMismatch(
-            "tt input modes multiply to %d but embedding size is %d"
-            % (prod_in, config.embed_dim)
-        )
-    if config.tt_rank_vector is not None:
-        ranks = tuple(config.tt_rank_vector)
-    else:
-        ranks = uniform_ranks(config.tt_ranks, len(out_modes))
+        out_modes, in_modes = tuple(config.tt_out_modes), tuple(config.tt_in_modes)
+    ranks = config.tt_ranks
+    if isinstance(ranks, int):
+        ranks = uniform_ranks(ranks, len(out_modes))
     return CellSpec(
-        kind,
-        vocab_size,
-        config.embed_dim,
-        config.hidden_dim,
-        num_classes,
+        *dims,
         tt_out_modes=out_modes,
         tt_in_modes=in_modes,
-        tt_ranks=ranks,
+        tt_ranks=tuple(ranks),
         candidate_bias=config.candidate_bias,
     )
 

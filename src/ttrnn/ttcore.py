@@ -41,8 +41,8 @@ class ModeFactorization:
         object.__setattr__(self, "in_modes", tuple(int(n) for n in self.in_modes))
         if len(self.out_modes) != len(self.in_modes) or not self.out_modes:
             raise ShapeMismatch(
-                "mode lists must be nonempty and equal length, got %r / %r"
-                % (self.out_modes, self.in_modes)
+                "mode lists must be nonempty and equal length, got %r / %r (products %d / %d)"
+                % (self.out_modes, self.in_modes, self.rows, self.cols)
             )
         if any(m < 1 for m in self.out_modes + self.in_modes):
             raise ShapeMismatch("all modes must be >= 1")

@@ -44,6 +44,12 @@ def run_cli(args, cwd=None, env_extra=None):
     )
 
 
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One directory per module for hypothesis tests to write input files into."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus():
     """A small cleaned synthetic corpus shared by training-level tests."""

@@ -6,6 +6,7 @@ the exact stdout contracts other tooling is expected to scrape.
 """
 
 import argparse
+import io
 import json
 import os
 import struct
@@ -571,3 +572,95 @@ def test_compress_rejects_ranks_with_eps(big_matrix, tmp_path):
         ]
     )
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _npz_bytes():
+    buf = io.BytesIO()
+    np.savez(buf, w=np.eye(4))
+    return buf.getvalue()
+
+
+_RAW_OK = b'{"id": "a", "text": "feeling happy", "label": "Happy"}\n'
+_RAW_LATIN1 = b'{"id": "b", "text": "caf\xe9", "label": "Sad"}\n'
+_RAW_SURROGATE = b'{"id": "b", "text": "x \\ud800", "label": "Sad"}\n'  # UTF-8 cannot encode it
+_HUGE_FIELD = b"x" * 131073  # one past the csv module's default field size limit
+
+# name -> (file name, bytes, line the error names)
+BAD_DATASETS = {
+    "csv-not-utf8": ("d.csv", b"id,text,label\na,feeling happy,Happy\nb,caf\xe9,Sad\n", 3),
+    "jsonl-not-utf8": ("d.jsonl", _RAW_OK + _RAW_LATIN1, 2),
+    "jsonl-not-utf8-first-line": ("d.jsonl", _RAW_LATIN1 + _RAW_OK, 1),
+    "jsonl-deep-nesting": ("d.jsonl", b"[" * 100000 + b"\n", 1),
+    "jsonl-lone-surrogate": ("d.jsonl", _RAW_OK + _RAW_SURROGATE, 2),
+    "csv-huge-field": ("d.csv", b"id,text,label\na," + _HUGE_FIELD + b",Happy\n", 2),
+}
+BAD_PREDICTIONS = {
+    "predictions-not-utf8": (b"id,sentiment\na,Positive\nb,N\xe9gative\n", 3),
+    "predictions-huge-field": (b"id,sentiment\n" + _HUGE_FIELD + b",Positive\n", 2),
+}
+BAD_MATRICES = {
+    "csv-nan": ("m.csv", b"1,2\nnan,4\n"),
+    "csv-overflow": ("m.csv", b"1,2\n1e999,4\n"),
+    "npy-object": ("m.npy", _npy_bytes(np.array([[1, "a"], [2, "b"]], dtype=object))),
+    "npy-string": ("m.npy", _npy_bytes(np.array([["a", "b"], ["c", "d"]]))),
+    "npy-truncated": ("m.npy", _npy_bytes(np.eye(4))[:-8]),
+    "npy-empty-file": ("m.npy", b""),
+    "npz-named-npy": ("m.npy", _npz_bytes()),
+    "npy-complex": ("m.npy", _npy_bytes(np.eye(4) * (1 + 1j))),
+}
+
+
+DATASET_COMMANDS = {
+    "clean": ["clean", "--in", "{data}", "--out", "{d}/o"],
+    "filter": ["filter", "--in", "{data}", "--predictions", "{d}/p.csv", "--out", "{d}/o"],
+    "build-vocab": ["build-vocab", "--in", "{data}", "--out", "{d}/o"],
+    "train": ["train", "--data", "{data}", "--cell", "gru", "--out", "{d}/o"],
+    "evaluate": ["evaluate", "--model", "{model}", "--data", "{data}", "--split", "all"],
+}
+_PREDICTIONS_OK = b"id,sentiment\na,Positive\nb,Negative\n"
+
+# name -> (files to write, argv template, the line the error names or None)
+MALFORMED_INPUTS = {}
+for _name, (_file, _content, _line) in BAD_DATASETS.items():
+    for _command, _argv in DATASET_COMMANDS.items():
+        MALFORMED_INPUTS["%s-%s" % (_command, _name)] = (
+            {_file: _content, "p.csv": _PREDICTIONS_OK},
+            [a.replace("{data}", "{d}/" + _file) for a in _argv],
+            _line,
+        )
+for _name, (_content, _line) in BAD_PREDICTIONS.items():
+    MALFORMED_INPUTS["filter-" + _name] = (
+        {"d.jsonl": _RAW_OK, "p.csv": _content},
+        [a.replace("{data}", "{d}/d.jsonl") for a in DATASET_COMMANDS["filter"]],
+        _line,
+    )
+for _name, (_file, _content) in BAD_MATRICES.items():
+    MALFORMED_INPUTS["compress-" + _name] = (
+        {_file: _content},
+        ["compress", "--matrix", "{d}/" + _file, "--out", "{d}/w.tt"],
+        None,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_exits_2(trained, tmp_path, case):
+    files, argv, line = MALFORMED_INPUTS[case]
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    argv = [a.format(d=tmp_path, model=trained["model"]) for a in argv]
+    proc = run_cli(argv, env_extra={"TTRNN_LOG": "quiet"})
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), proc.stderr
+    if line is not None:
+        assert "line %d:" % line in lines[0], proc.stderr

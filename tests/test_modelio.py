@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import struct
 
@@ -8,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seal_container, split_container
-from ttrnn.errors import ChecksumMismatch, FormatVersionMismatch, ParseError, TtrnnError
+from ttrnn.errors import (
+    ChecksumMismatch,
+    FormatVersionMismatch,
+    ParseError,
+    ShapeMismatch,
+    TtrnnError,
+)
 from ttrnn.modelio import (
-    load_matrix_csv,
+    load_matrix,
     load_model,
     load_ttmatrix,
     save_model,
@@ -190,13 +197,83 @@ def test_crc_valid_garbage_raises_only_package_errors(valid_containers, data):
 def test_load_matrix_csv(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
-    m = load_matrix_csv(str(p))
+    m = load_matrix(str(p))
     assert m.shape == (2, 2)
     assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     single = tmp_path / "row.csv"
     single.write_text("5.0,6.0,7.0\n", encoding="utf-8")
-    assert load_matrix_csv(str(single)).shape == (1, 3)
+    assert load_matrix(str(single)).shape == (1, 3)
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,x\n", encoding="utf-8")
     with pytest.raises(ParseError):
-        load_matrix_csv(str(bad))
+        load_matrix(str(bad))
+
+
+def test_load_matrix_npy_takes_real_dtypes_only(tmp_path):
+    p = tmp_path / "m.npy"
+    for arr in (np.arange(6).reshape(2, 3), np.eye(2, dtype=np.float32), np.eye(2, dtype=bool)):
+        np.save(p, arr)
+        assert load_matrix(str(p)).tolist() == arr.astype(np.float64).tolist()
+    for arr in (np.eye(2) * 1j, np.array([["a", "b"]]), np.zeros((2, 2), dtype="<M8[D]")):
+        np.save(p, arr)
+        with pytest.raises(ParseError):
+            load_matrix(str(p))
+    for arr in (np.arange(3.0), np.zeros((0, 3)), np.ones((2, 2, 2))):
+        np.save(p, arr)
+        with pytest.raises(ShapeMismatch):
+            load_matrix(str(p))
+    np.save(p, np.array([[1.0, np.inf]]))
+    with pytest.raises(ParseError):
+        load_matrix(str(p))
+
+
+def _npy_header(descr, shape, fortran_order):
+    return (
+        b"\x93NUMPY\x01\x00"
+        + struct.pack("<H", 118)
+        + repr({"descr": descr, "fortran_order": fortran_order, "shape": shape})
+        .encode()
+        .ljust(117)
+        + b"\n"
+    )
+
+
+def _saved(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+# headers declare at most 10**6 elements, so no load allocates much
+_NPY_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.builds(
+        lambda head, tail: head + tail,
+        st.builds(
+            _npy_header,
+            st.sampled_from(["<f8", "<i4", "|b1", "<c16", "|O", "<U2", "|V8", "<M8[D]", "xyz", 7]),
+            st.lists(st.integers(-1, 100), max_size=3).map(tuple),
+            st.sampled_from([False, True, 3]),
+        ),
+        st.binary(max_size=64),
+    ),
+    st.builds(
+        lambda b, cut: b[:cut],
+        st.sampled_from([_saved(np.eye(3)), _saved(np.eye(2) * 1j)]),
+        st.integers(0, 400),
+    ),
+    st.just(b"PK\x03\x04" + bytes(30)),  # a zip signature, as .npz files start
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_NPY_BYTES, suffix=st.sampled_from([".npy", ".csv"]))
+def test_load_matrix_arbitrary_bytes_raise_only_package_errors(fuzz_dir, content, suffix):
+    """Any .npy or .csv content gives a real finite 2-d matrix or a TtrnnError."""
+    p = fuzz_dir / ("m" + suffix)
+    p.write_bytes(content)
+    try:
+        m = load_matrix(str(p))
+    except TtrnnError:
+        return
+    assert len(m.shape) == 2 and np.isfinite(m.array).all()

@@ -15,6 +15,7 @@ from ttrnn.errors import (
     MissingPrediction,
     ParseError,
     ShapeMismatch,
+    TtrnnError,
     UnknownEmotion,
 )
 from ttrnn.textpipe import (
@@ -313,6 +314,69 @@ def test_load_predictions(tmp_path):
     bad.write_text("id,sentiment\na,Meh\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_predictions(str(bad))
+
+
+# pieces that reach past the first check of each reader when joined by newlines
+_FRAGMENTS = st.sampled_from(
+    [
+        b"id,text,label",
+        b"id,sentiment",
+        b"a,hi,Happy",
+        b"a,Positive",
+        b'{"id": "a", "text": "hi", "label": "Happy"}',
+        b'{"id":"a","clean_text":"x","hashtags":["y"],"emotion_label":"Happy",'
+        b'"sentiment_label":"Positive"}',
+        b'{"id": [], "text": 1, "label": {}}',
+        b'{"id": "a", "text": "\\udc80", "label": "Happy"}',
+        b"[" * 5000,
+        b"1" * 5000,
+        b"x" * 140000,
+        b'"',
+        b"\r",
+        b"\xff\xfe",
+        b"\xed\xa0\x80",
+        b"\x00",
+    ]
+)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(_FRAGMENTS, st.binary(max_size=12)), max_size=6).map(b"\n".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_FILE_BYTES, suffix=st.sampled_from([".csv", ".jsonl"]))
+def test_arbitrary_bytes_raise_only_package_errors(fuzz_dir, content, suffix):
+    """Every text loader turns any file content into records or a TtrnnError."""
+    p = fuzz_dir / ("input" + suffix)
+    p.write_bytes(content)
+    for load in (load_dataset, load_predictions, load_clean_jsonl):
+        try:
+            load(str(p))
+        except TtrnnError:
+            pass
+    assert looks_like_clean_jsonl(str(p)) in (True, False)
+
+
+def test_utf8_error_names_its_line_past_the_read_buffer(tmp_path):
+    p = tmp_path / "late.csv"
+    rows = b"".join(b"r%d,hello there,Happy\n" % i for i in range(5000))
+    p.write_bytes(b"id,text,label\n" + rows + b"bad,caf\xe9,Sad\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(str(p))
+    assert err.value.line == 5002
+    assert "UTF-8" in str(err.value)
+
+
+def test_readers_keep_lone_cr_line_ends(tmp_path):
+    p = tmp_path / "cr.csv"
+    p.write_bytes(b"id,text,label\ra,hi,Happy\rb,yo,Sad\r")
+    assert [r.id for r in load_dataset(str(p))] == ["a", "b"]
+    bad = tmp_path / "cr.jsonl"
+    bad.write_bytes(b'{"id": "a", "text": "hi", "label": "Happy"}\rnot json\r')
+    with pytest.raises(ParseError) as err:
+        load_dataset(str(bad))
+    assert err.value.line == 2
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,27 @@ def test_build_cell_spec_errors_name_both_numbers():
         )  # one of two mode lists
 
 
+@pytest.mark.parametrize("kind", ["gru", "t_gru"])
+def test_no_candidate_bias_drops_b_d_for_dense_and_tt(kind):
+    from ttrnn.cells import weight_templates
+
+    config = TrainConfig(hidden_dim=8, embed_dim=8, candidate_bias=False)
+    spec = build_cell_spec(kind, 30, config, 6)
+    assert spec.candidate_bias is False
+    names = [name for name, _ in weight_templates(spec)]
+    assert "b_d" not in names and "b_z" in names
+
+
+def test_tt_ranks_takes_an_interior_rank_or_a_full_vector():
+    base = dict(hidden_dim=16, embed_dim=16, tt_out_modes=(4, 2, 2), tt_in_modes=(2, 4, 2))
+    interior = build_cell_spec("t_rnn", 30, TrainConfig(tt_ranks=3, **base), 6)
+    assert interior.tt_ranks == (1, 3, 3, 1)
+    vector = TrainConfig(tt_ranks=(1, 2, 3, 1), **base)
+    assert build_cell_spec("t_rnn", 30, vector, 6).tt_ranks == (1, 2, 3, 1)
+    assert tuple(vector.to_dict()["tt_ranks"]) == (1, 2, 3, 1)
+    with pytest.raises(ShapeMismatch):
+        TrainConfig(tt_ranks=0)
+
 def test_param_counts_match_templates():
     from ttrnn.cells import weight_templates
 
