@@ -8,14 +8,16 @@ results into the .grad of each leaf (a Variable no record on the tape
 produced, such as a weight or an input), so repeated backward calls
 accumulate (two identical calls leave exactly twice the gradient).
 Variables the tape produced keep .grad None: their adjoints live only
-in the table.  A pull may return a Partial, a contribution to a few
-leading-axis rows of its input only; backward adds those in place into a
-buffer it allocates for that call, so T per-step slices of one (T, B, E)
-sequence cost one buffer, not T.
+in the table.
 
 Values may be single vectors or batches with a leading batch axis; every
 op handles both so sequence models can run whole minibatches through one
-tape.
+tape.  The cell runner puts only a few records on a tape per batch: the
+embedding lookup, `tt_weight` per tensor-train gate, one fused record
+for the whole recurrence (cells and recurrence modules), the head and the
+loss.  The per-step ops (sigmoid, tanh, add, hadamard, one_minus, blend,
+tt_linear) remain as the reference the fused recurrence is tested
+against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ import numpy as np
 
 from .errors import NotScalar, ShapeMismatch
 from .tensor import DenseTensor, _wrap, sigmoid_array
-from .ttcore import _ApplyTrace, tt_apply_backward_batch, tt_apply_batch
+from .ttcore import (
+    _ApplyTrace,
+    tt_apply_backward_batch,
+    tt_apply_batch,
+    tt_dense,
+    tt_dense_backward,
+)
 
 
 class Variable:
@@ -64,16 +72,6 @@ class Tape:
         return out
 
 
-class Partial:
-    """A pull's adjoint for rows `index` (leading axis) of its input only."""
-
-    __slots__ = ("index", "value")
-
-    def __init__(self, index, value: np.ndarray):
-        self.index = index
-        self.value = value
-
-
 def backward(tape: Tape, loss: Variable):
     """Accumulate d(loss)/d(leaf) into .grad for every leaf the loss reaches.
 
@@ -84,25 +82,16 @@ def backward(tape: Tape, loss: Variable):
         raise NotScalar("loss must be a scalar, got shape %r" % (loss.value.shape,))
     adjoint = {id(loss): np.array(1.0)}
     holders = {id(loss): loss}
-    owned = set()  # adjoints allocated here, so nothing else aliases them
     for out, pulls in reversed(tape.records):
         g = adjoint.pop(id(out), None)
         if g is None:
             continue
         holders.pop(id(out), None)
-        owned.discard(id(out))
         for src, pull in pulls:
             contribution = pull(g)
             key = id(src)
             held = adjoint.get(key)
-            if isinstance(contribution, Partial):
-                if key not in owned:
-                    held = np.zeros(src.value.shape) if held is None else held + 0.0
-                    adjoint[key] = held
-                    holders[key] = src
-                    owned.add(key)
-                held[contribution.index] += contribution.value
-            elif held is None:
+            if held is None:
                 adjoint[key] = contribution
                 holders[key] = src
             else:
@@ -114,6 +103,19 @@ def backward(tape: Tape, loss: Variable):
 def zero_grads(variables):
     for v in variables:
         v.zero_grad()
+
+
+def shared_pull(solve):
+    """solve(g), computed once per adjoint g and shared by all of a record's pulls."""
+    memo = {"for": None, "result": None}
+
+    def cached(g):
+        if memo["for"] is not g:
+            memo["result"] = solve(g)
+            memo["for"] = g
+        return memo["result"]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +206,10 @@ def tt_linear(tape: Tape, cores, facto, ranks, x: Variable) -> Variable:
     y2d = tt_apply_batch(arrays, facto.in_modes, ranks, x2d, trace)
     out = _wrap(y2d if batched else y2d.reshape(-1))
 
-    memo = {"for": None, "result": None}
-
+    @shared_pull
     def solve(g):
-        if memo["for"] is not g:
-            g2d = g if batched else g.reshape(1, -1)
-            memo["result"] = tt_apply_backward_batch(
-                arrays, facto.in_modes, ranks, trace, g2d
-            )
-            memo["for"] = g
-        return memo["result"]
+        g2d = g if batched else g.reshape(1, -1)
+        return tt_apply_backward_batch(arrays, facto.in_modes, ranks, trace, g2d)
 
     pulls = [(c, lambda g, k=k: solve(g)[0][k]) for k, c in enumerate(cores)]
     if batched:
@@ -221,6 +217,19 @@ def tt_linear(tape: Tape, cores, facto, ranks, x: Variable) -> Variable:
     else:
         pulls.append((x, lambda g: solve(g)[1].reshape(-1)))
     return tape.emit(out, pulls)
+
+
+def tt_weight(tape: Tape, cores, facto) -> Variable:
+    """The dense (M, N) matrix of a tensor-train map held as per-core Variables.
+
+    Built once per call from the cores; the pull projects the matrix
+    adjoint onto every core through left and right partial products of
+    the chain (ttcore.tt_dense_backward).
+    """
+    arrays = [c.value.array for c in cores]
+    solve = shared_pull(lambda g: tt_dense_backward(arrays, facto, g))
+    pulls = [(c, lambda g, k=k: solve(g)[k]) for k, c in enumerate(cores)]
+    return tape.emit(_wrap(tt_dense(arrays, facto)), pulls)
 
 
 def embed(tape: Tape, table: Variable, token_ids) -> Variable:
@@ -250,10 +259,16 @@ def embed(tape: Tape, table: Variable, token_ids) -> Variable:
     return tape.emit(out, [(table, pull)])
 
 
-def take(tape: Tape, a: Variable, index: int) -> Variable:
-    """Row `index` of a along its leading axis, e.g. one step of (T, B, E)."""
-    out = _wrap(a.value.array[index])
-    return tape.emit(out, [(a, lambda g: Partial(index, g))])
+def columns(tape: Tape, a: Variable, start: int, stop: int) -> Variable:
+    """a[..., start:stop], e.g. one part of a packed recurrent state."""
+    out = _wrap(np.ascontiguousarray(a.value.array[..., start:stop]))
+
+    def pull(g):
+        d = np.zeros(a.value.shape)
+        d[..., start:stop] = g
+        return d
+
+    return tape.emit(out, [(a, pull)])
 
 
 def blend(tape: Tape, mask, a: Variable, b: Variable) -> Variable:

@@ -2,18 +2,22 @@
 
 Seven cell kinds share one interface.  Dense kinds: elman (hidden-state
 feedback), jordan (output feedback), lstm, gru.  Tensorized kinds t_rnn,
-t_lstm, t_gru replace every input-to-hidden matrix with a tensor-train
-matrix applied core by core; recurrent matrices, biases, the embedding
-and the softmax head stay dense, so the compression targets exactly the
-weights that scale with the input width.
+t_lstm, t_gru store every input-to-hidden matrix as tensor-train cores;
+recurrent matrices, biases, the embedding and the softmax head stay
+dense, so the compression targets exactly the weights that scale with
+the input width.
 
 A cell owns its whole parameter set: embedding table, per-gate input and
 recurrent maps, biases, and the class head.  Steps run on a Tape and
-accept single vectors or batches.  run_sequence embeds all tokens in one
-lookup, applies the head-less update `advance` per step, and computes the
-head once from the final state (jordan, which feeds its output back, at
-every step).  An optional 0/1 mask freezes state (value and gradient) on
-padded positions, and the runner stops at the last real token.
+accept single vectors or batches.  run_sequence puts a handful of records
+on the tape per batch: one embedding lookup of all tokens, for TT kinds
+one `tt_weight` per gate that rebuilds the dense W from the cores, one
+record for the whole recurrence (the fused forward and analytic BPTT of
+the recurrence module), and the head once from the final state (jordan,
+which feeds its output back, runs its head inside the recurrence).  An
+optional 0/1 mask freezes state (value and gradient) on padded
+positions, and the runner stops at the last real token.  step is a
+one-step run of the same record, so chained steps stay differentiable.
 
 Gate naming: gru uses r (reset), z (update), d (candidate); lstm uses
 k (input), f (forget), o (output), g (candidate).
@@ -27,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from . import rng
+from . import recurrence, rng
 from .autodiff import Tape, Variable
 from .errors import EmptySequence, ShapeMismatch
 from .tensor import _wrap
@@ -243,30 +247,21 @@ class CellState:
     y: Variable | None = None  # jordan output feedback
 
 
+def _state_parts(spec: CellSpec):
+    """(field, width) of each CellState part the family carries, in order."""
+    h = ("h", spec.hidden_dim)
+    if spec.kind in ("lstm", "t_lstm"):
+        return (h, ("c", spec.hidden_dim))
+    if spec.kind == "jordan":
+        return (h, ("y", spec.num_classes))
+    return (h,)
+
+
 def init_state(spec: CellSpec, batch: int | None = None) -> CellState:
     def zeros(width):
-        shape = (width,) if batch is None else (batch, width)
-        return Variable(_wrap(np.zeros(shape)))
+        return Variable(_wrap(np.zeros((width,) if batch is None else (batch, width))))
 
-    state = CellState(h=zeros(spec.hidden_dim))
-    if spec.kind in ("lstm", "t_lstm"):
-        state.c = zeros(spec.hidden_dim)
-    if spec.kind == "jordan":
-        state.y = zeros(spec.num_classes)
-    return state
-
-
-def _input_map(tape: Tape, spec: CellSpec, weights: CellWeights, gate: str, x: Variable):
-    if spec.tensorized:
-        return ad.tt_linear(tape, weights.tt_cores(gate), spec.facto, spec.tt_ranks, x)
-    return ad.affine(tape, weights[_gate_name("w", gate)], x)
-
-
-def _gate_preact(tape, spec, weights, gate, x, recur_in):
-    """W_gate x + U_gate recur_in + b_gate (bias omitted where absent)."""
-    bias = weights[_gate_name("b", gate)] if spec.has_bias(gate) else None
-    rec = ad.affine(tape, weights[_gate_name("u", gate)], recur_in, bias)
-    return ad.add(tape, _input_map(tape, spec, weights, gate, x), rec)
+    return CellState(**{name: zeros(width) for name, width in _state_parts(spec)})
 
 
 def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
@@ -274,50 +269,83 @@ def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
     return ad.softmax(tape, logits)
 
 
-def advance(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: CellState) -> CellState:
-    """One recurrent update without the class head (jordan needs it as y)."""
-    kind = spec.kind
-    if kind in ("elman", "t_rnn"):
-        return CellState(h=ad.tanh(tape, _gate_preact(tape, spec, weights, "", x, state.h)))
-    if kind == "jordan":
-        h = ad.tanh(tape, _gate_preact(tape, spec, weights, "", x, state.y))
-        return CellState(h=h, y=head_probs(tape, weights, h))
-    if kind in ("gru", "t_gru"):
-        r = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "r", x, state.h))
-        z = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "z", x, state.h))
-        gated = ad.hadamard(tape, r, state.h)
-        d = ad.tanh(tape, _gate_preact(tape, spec, weights, "d", x, gated))
-        keep = ad.hadamard(tape, ad.one_minus(tape, z), state.h)
-        return CellState(h=ad.add(tape, keep, ad.hadamard(tape, z, d)))
-    # lstm family
-    k = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "k", x, state.h))
-    f = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "f", x, state.h))
-    o = ad.sigmoid(tape, _gate_preact(tape, spec, weights, "o", x, state.h))
-    g = ad.tanh(tape, _gate_preact(tape, spec, weights, "g", x, state.h))
-    c = ad.add(tape, ad.hadamard(tape, f, state.c), ad.hadamard(tape, k, g))
-    return CellState(h=ad.hadamard(tape, o, ad.tanh(tape, c)), c=c)
+def _recurrence(tape, spec, weights, xs, batch, state=None, mask=None, keep=None) -> dict:
+    """The whole recurrence over xs as one tape record; returns the final state.
+
+    xs holds T steps of `batch` rows ((T, B, E); (T, E) or (E,) when batch
+    is None), state None means zeros, mask is (T, B, 1) or None.  Returns
+    {field: Variable} for the CellState fields in `keep` (default all);
+    the op emits them packed in one Variable, split by `ad.columns` when
+    there are several.  TT kinds first rebuild each gate's dense W with
+    `ad.tt_weight`.
+    """
+    gates, n = spec.gates, spec.hidden_dim
+    if spec.tensorized:
+        ws = [ad.tt_weight(tape, weights.tt_cores(g), spec.facto) for g in gates]
+    else:
+        ws = [weights[_gate_name("w", g)] for g in gates]
+    us = [weights[_gate_name("u", g)] for g in gates]
+    bs = [weights[_gate_name("b", g)] if spec.has_bias(g) else None for g in gates]
+    head = [weights["head_w"], weights["head_b"]] if spec.kind == "jordan" else []
+    parts = _state_parts(spec)
+    keep = [name for name, _ in parts] if keep is None else list(keep)
+    rows = 1 if batch is None else batch
+    if state is None:
+        given = []
+        state0 = tuple(np.zeros((rows, width)) for _, width in parts)
+    else:
+        given = [getattr(state, name) for name, _ in parts]
+        state0 = tuple(v.value.array.reshape(rows, -1) for v in given)
+
+    final, pull = recurrence.run(
+        recurrence.FAMILY[spec.kind],
+        xs.value.array.reshape(-1, rows, spec.embed_dim),
+        np.concatenate([v.value.array for v in ws]),
+        np.concatenate([v.value.array for v in us]),
+        np.concatenate([np.zeros(n) if v is None else v.value.array for v in bs]),
+        state0,
+        mask,
+        tuple(v.value.array for v in head),
+    )
+    kept = [(i, name, width) for i, (name, width) in enumerate(parts) if name in keep]
+    packed = np.concatenate([final[i] for i, _, _ in kept], axis=1)
+
+    @ad.shared_pull
+    def solve(g):
+        d_final, g, start = [np.zeros_like(a) for a in final], g.reshape(rows, -1), 0
+        for i, _, width in kept:
+            d_final[i], start = g[:, start : start + width], start + width
+        return pull(tuple(d_final))
+
+    def rows_of(key, i):
+        return lambda g: solve(g)[key][i * n : (i + 1) * n]
+
+    pulls = [(xs, lambda g: solve(g)["x"].reshape(xs.value.shape))]
+    for key, variables in (("w", ws), ("u", us), ("b", bs)):
+        pulls += [(v, rows_of(key, i)) for i, v in enumerate(variables) if v is not None]
+    pulls += [(v, lambda g, i=i: solve(g)["head"][i]) for i, v in enumerate(head)]
+    pulls += [
+        (v, lambda g, i=i, v=v: solve(g)["state"][i].reshape(v.value.shape))
+        for i, v in enumerate(given)
+    ]
+    out = tape.emit(_wrap(packed if batch is not None else packed.reshape(-1)), pulls)
+    if len(kept) == 1:
+        return {kept[0][1]: out}
+    result, start = {}, 0
+    for _, name, width in kept:
+        result[name], start = ad.columns(tape, out, start, start + width), start + width
+    return result
 
 
 def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: CellState):
     """One recurrent update.  Returns (new_state, class probabilities).
 
-    x is an embedded input, (E,) or (B, E); the state must match.
+    x is an embedded input, (E,) or (B, E); the state must match.  This is
+    a one-step run of the same fused op run_sequence uses.
     """
-    state = advance(tape, spec, weights, x, state)
-    return state, _probs(tape, spec, weights, state)
-
-
-def _probs(tape, spec, weights, state: CellState) -> Variable:
-    return state.y if spec.kind == "jordan" else head_probs(tape, weights, state.h)
-
-
-def _blend_state(tape, m, new: CellState, old: CellState) -> CellState:
-    out = CellState(h=ad.blend(tape, m, new.h, old.h))
-    if new.c is not None:
-        out.c = ad.blend(tape, m, new.c, old.c)
-    if new.y is not None:
-        out.y = ad.blend(tape, m, new.y, old.y)
-    return out
+    batch = x.value.shape[0] if x.value.array.ndim == 2 else None
+    state = CellState(**_recurrence(tape, spec, weights, x, batch, state))
+    return state, state.y if spec.kind == "jordan" else head_probs(tape, weights, state.h)
 
 
 def run_sequence(
@@ -357,15 +385,13 @@ def run_sequence(
         steps = int(np.flatnonzero(mask.reshape(-1, steps).any(axis=0))[-1]) + 1
 
     xs = ad.embed(tape, weights["embedding"], ids[..., :steps].T)  # (T, [B,] E)
-    state = init_state(spec, batch=ids.shape[0] if batched else None)
-    for t in range(steps):
-        new_state = advance(tape, spec, weights, ad.take(tape, xs, t), state)
-        if mask is None:
-            state = new_state
-        else:
-            m = mask[..., t : t + 1] if batched else mask[t]
-            state = _blend_state(tape, m, new_state, state)
-    return _probs(tape, spec, weights, state)
+    if mask is not None:
+        mask = mask[..., :steps].T.reshape(steps, -1, 1)
+    batch = ids.shape[0] if batched else None
+    if spec.kind == "jordan":  # its head ran inside the recurrence: y is the probabilities
+        return _recurrence(tape, spec, weights, xs, batch, mask=mask, keep=("y",))["y"]
+    h = _recurrence(tape, spec, weights, xs, batch, mask=mask, keep=("h",))["h"]
+    return head_probs(tape, weights, h)
 
 
 def classify(spec: CellSpec, weights: CellWeights, token_ids, mask=None):

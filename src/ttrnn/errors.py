@@ -63,6 +63,10 @@ class EmptySequence(TtrnnError):
     pass
 
 
+class NonFiniteTraining(TtrnnError):
+    """A batch's loss, gradient or an intermediate value left the finite range."""
+
+
 class FormatVersionMismatch(TtrnnError):
     def __init__(self, found, supported):
         self.found = found

@@ -268,11 +268,12 @@ def _lines(path: str):
     """Yield (line number, text) for each line of a UTF-8 text file.
 
     Lines split where text mode with newline="" splits them: at LF, CRLF
-    or a lone CR.  Undecodable bytes are read as surrogates and reported per
-    line, which names the line that holds them; a strict text-mode read
-    fails up to a whole buffer ahead of it.
+    or a lone CR.  A leading byte-order mark, as spreadsheet programs
+    write, is dropped.  Undecodable bytes are read as surrogates and
+    reported per line, which names the line that holds them; a strict
+    text-mode read fails up to a whole buffer ahead of it.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as f:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.isascii():
                 try:

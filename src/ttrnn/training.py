@@ -6,6 +6,12 @@ config seed through named sub-seeds, so a config run twice produces
 byte-identical logs and model files.  Wall-clock numbers are recorded
 only when timing is switched on, precisely so that logs stay comparable.
 
+Training that leaves the finite range stops with NonFiniteTraining,
+naming the epoch and the batch: numpy overflow, invalid values and
+division by zero raise inside every batch and validation pass, and each
+batch's loss and global gradient norm are checked, so no log or model
+ever holds a NaN or an infinity.
+
 Early stopping watches validation macro-F1: the counter resets whenever
 the score improves on the best seen by at least 1e-4 and trips after
 `early_stop_patience` flat epochs (0 disables stopping).  Whatever epoch
@@ -17,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +33,7 @@ from . import cells as cells_mod
 from . import rng
 from .autodiff import Tape, Variable
 from .cells import CellSpec, CellWeights, init_weights, run_sequence, weight_templates
-from .errors import ClassTooSmall, EmptyTestSet, ShapeMismatch
+from .errors import ClassTooSmall, EmptyTestSet, NonFiniteTraining, ShapeMismatch
 from .metrics import MetricsReport, evaluate as evaluate_metrics
 from .modelio import ModelBundle
 from .tensor import _wrap
@@ -178,19 +185,44 @@ def adam_step(
     return state
 
 
-def clip_gradients(variables, max_norm: float):
-    """Scale all gradients down to a global L2 norm of max_norm."""
-    total = 0.0
-    for v in variables:
-        if v.grad is not None:
-            total += float(np.sum(v.grad * v.grad))
-    norm = math.sqrt(total)
+def gradient_norm(variables) -> float:
+    """Global L2 norm over every gradient present."""
+    return math.sqrt(sum(float(np.vdot(v.grad, v.grad)) for v in variables if v.grad is not None))
+
+
+def clip_gradients(variables, max_norm: float, norm: float | None = None):
+    """Scale all gradients down to a global L2 norm of max_norm.
+
+    `norm` is the gradients' current global norm if already known.
+    Returns that norm, before clipping.
+    """
+    if norm is None:
+        norm = gradient_norm(variables)
     if norm > max_norm > 0:
         factor = max_norm / norm
         for v in variables:
             if v.grad is not None:
                 v.grad = v.grad * factor
     return norm
+
+
+@contextmanager
+def _finite(epoch: int, where: str):
+    """numpy overflow, invalid values and division by zero become NonFiniteTraining."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NonFiniteTraining(
+            "training went non-finite at epoch %d, %s: %s" % (epoch, where, e)
+        ) from None
+
+
+def _require_finite(epoch: int, where: str, what: str, value: float):
+    if not math.isfinite(value):
+        raise NonFiniteTraining(
+            "training went non-finite at epoch %d, %s: %s is %r" % (epoch, where, what, value)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +398,7 @@ def train(
     def emit(record):
         records.append(record)
         if log_stream is not None:
-            log_stream.write(json.dumps(record, sort_keys=True) + "\n")
+            log_stream.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
     emit(
         {
@@ -399,26 +431,34 @@ def train(
         tick = time.perf_counter()
         order = rng.permutation(rng.split(config.seed, "epoch", epoch), n_train)
         loss_sum = 0.0
-        for start in range(0, n_train, config.batch_size):
+        for number, start in enumerate(range(0, n_train, config.batch_size), start=1):
             batch = [data.train[i] for i in order[start : start + config.batch_size]]
             ids, mask, labels = _batch_arrays(batch)
-            tape = Tape()
-            probs = run_sequence(tape, spec, weights, ids, mask=mask)
-            loss = ad.cross_entropy_mean(tape, probs, labels)
-            ad.backward(tape, loss)
-            if config.clip_norm is not None:
-                clip_gradients(params, config.clip_norm)
-            if config.optimizer == "adam":
-                step_index += 1
-                adam_state = adam_step(
-                    params, config.learning_rate, t=step_index, state=adam_state
-                )
-            else:
-                sgd_step(params, config.learning_rate)
+            where = "batch %d" % number
+            with _finite(epoch, where):
+                tape = Tape()
+                probs = run_sequence(tape, spec, weights, ids, mask=mask)
+                loss = ad.cross_entropy_mean(tape, probs, labels)
+                ad.backward(tape, loss)
+                batch_loss = float(loss.value.array)
+                norm = gradient_norm(params)
+                _require_finite(epoch, where, "the loss", batch_loss)
+                _require_finite(epoch, where, "the gradient norm", norm)
+                if config.clip_norm is not None:
+                    clip_gradients(params, config.clip_norm, norm)
+                if config.optimizer == "adam":
+                    step_index += 1
+                    adam_state = adam_step(
+                        params, config.learning_rate, t=step_index, state=adam_state
+                    )
+                else:
+                    sgd_step(params, config.learning_rate)
             ad.zero_grads(params)
-            loss_sum += float(loss.value.array) * len(batch)
+            loss_sum += batch_loss * len(batch)
 
-        val_report = evaluate_model(spec, weights, data.val)
+        with _finite(epoch, "validation"):
+            val_report = evaluate_model(spec, weights, data.val)
+        _require_finite(epoch, "validation", "the loss", val_report.loss)
         seconds = time.perf_counter() - tick if config.timing else 0.0
         emit(
             {

@@ -10,10 +10,13 @@ turns the matrix into a d-mode tensor with mode sizes m_k * n_k, and the
 cores form its tensor-train decomposition.
 
 The module provides decomposition (TT-SVD: sequential truncated SVDs,
-through numpy's LAPACK), dense reconstruction, batched application by
-core-chain contraction (never materializing the dense matrix), the exact
-reverse-mode gradients of that contraction, and parameter and
-multiply-accumulate accounting.
+through numpy's LAPACK), dense reconstruction (tt_dense) with the exact
+core gradients of it (tt_dense_backward), batched application by
+core-chain contraction without forming the dense matrix (tt_apply_batch,
+used by tt_matvec, and its reverse-mode gradients), and parameter and
+multiply-accumulate accounting.  Training and inference rebuild each
+gate's dense matrix once per batch and apply it as one GEMM: at the sizes
+this package runs, that is faster than contracting the cores row by row.
 """
 
 from __future__ import annotations
@@ -255,16 +258,45 @@ def tt_svd(
     return TTMatrix(facto, tuple(ranks), tuple(cores))
 
 
+def _left_partials(cores):
+    # products of cores 0..k-1 as (prod of their merged modes, r_k), k = 0..d
+    out = [np.ones((1, 1))]
+    for core in cores:
+        m, n, a, b = core.shape
+        out.append((out[-1] @ core.transpose(2, 0, 1, 3).reshape(a, m * n * b)).reshape(-1, b))
+    return out
+
+
+def tt_dense(cores, facto: ModeFactorization) -> np.ndarray:
+    """The dense (M, N) matrix of a chain of core arrays."""
+    merged = [m * n for m, n in zip(facto.out_modes, facto.in_modes)]
+    return _deinterleave(_left_partials(cores)[-1].reshape(merged), facto)
+
+
+def tt_dense_backward(cores, facto: ModeFactorization, dw: np.ndarray):
+    """Core gradients of tt_dense for the adjoint dw of its (M, N) matrix.
+
+    With L the product of the cores left of k and R the product of those
+    right of it, core k's slice at merged index l gets L^T dT[:, l, :] R^T,
+    where dT is dw as the merged-mode tensor (Novikov et al. 2015).
+    """
+    lefts = _left_partials(cores)
+    dt = _interleave(dw, facto).reshape(-1)
+    grads = [None] * len(cores)
+    right = np.ones((1, 1))  # cores right of k as (r_{k+1}, prod of their merged modes)
+    for k in range(len(cores) - 1, -1, -1):
+        m, n, a, b = cores[k].shape
+        left = lefts[k]
+        g = (left.T @ dt.reshape(left.shape[0], -1)).reshape(a * m * n, -1) @ right.T
+        grads[k] = np.ascontiguousarray(g.reshape(a, m, n, b).transpose(1, 2, 0, 3))
+        unfolded = cores[k].transpose(2, 0, 1, 3).reshape(a * m * n, b)
+        right = (unfolded @ right).reshape(a, -1)
+    return grads
+
+
 def reconstruct(tt: TTMatrix) -> DenseTensor:
     """Materialize the dense matrix a TTMatrix represents."""
-    facto = tt.facto
-    r = np.ones((1, 1))
-    for k, core in enumerate(tt.core_arrays()):
-        m, n, rk, rk1 = core.shape
-        r = r @ core.transpose(2, 0, 1, 3).reshape(rk, m * n * rk1)
-        r = r.reshape(-1, rk1)
-    merged = r.reshape([m * n for m, n in zip(facto.out_modes, facto.in_modes)])
-    return _wrap(_deinterleave(merged, facto))
+    return _wrap(tt_dense(tt.core_arrays(), tt.facto))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttrnn import autodiff as ad
 from ttrnn import rng
 from ttrnn.errors import NotScalar, ShapeMismatch
 from ttrnn.tensor import tensor
-from ttrnn.ttcore import ModeFactorization, random_tt, reconstruct
+from ttrnn.ttcore import (
+    ModeFactorization,
+    _ApplyTrace,
+    random_tt,
+    reconstruct,
+    tt_apply_backward_batch,
+    tt_apply_batch,
+)
 
 
 def _var(arr):
@@ -95,6 +104,45 @@ def test_tt_linear_matches_dense_affine():
     tape = ad.Tape()
     y = ad.tt_linear(tape, [_var(c.array) for c in tt.cores], facto, tt.ranks, _var(x))
     assert np.allclose(y.value.array, x @ dense.T, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), min_size=2, max_size=2),
+    st.integers(1, 5),
+    st.integers(0, 2**31 - 1),
+)
+def test_tt_weight_core_gradients_match_the_contraction(modes, interior, rows, seed):
+    facto = ModeFactorization([m for m, _ in modes], [n for _, n in modes])
+    ranks = (1,) + tuple(interior[: facto.order - 1]) + (1,)
+    tt = random_tt(facto, ranks, seed=seed)
+    arrays = tt.core_arrays()
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((rows, facto.cols))
+    dy = gen.standard_normal((rows, facto.rows))
+    trace = _ApplyTrace()
+    tt_apply_batch(arrays, facto.in_modes, ranks, x, trace)
+    want, _ = tt_apply_backward_batch(arrays, facto.in_modes, ranks, trace, dy)
+
+    cores = [_var(a) for a in arrays]
+    tape = ad.Tape()
+    w = ad.tt_weight(tape, cores, facto)
+    assert np.allclose(w.value.array, reconstruct(tt).array, rtol=0, atol=1e-13)
+    loss = ad.sum_all(tape, ad.hadamard(tape, w, _var(dy.T @ x)))  # d loss / d w = dy^T x
+    ad.backward(tape, loss)
+    for core, g in zip(cores, want):
+        assert core.grad.shape == g.shape
+        assert np.max(np.abs(core.grad - g)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
+
+
+def test_columns_slices_and_pads_the_adjoint():
+    a = _var(rng.normal(19, 10).reshape(2, 5))
+    tape = ad.Tape()
+    part = ad.columns(tape, a, 1, 3)
+    assert np.array_equal(part.value.array, a.value.array[:, 1:3])
+    ad.backward(tape, ad.sum_all(tape, part))
+    assert np.array_equal(a.grad, np.array([[0, 1, 1, 0, 0]] * 2, dtype=float))
 
 
 def test_embed_scatter_gradient_accumulates_repeats():

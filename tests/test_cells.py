@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttrnn import autodiff as ad
 from ttrnn import rng
@@ -10,6 +12,7 @@ from ttrnn.cells import (
     CellSpec,
     CellState,
     CellWeights,
+    _gate_name,
     classify,
     init_state,
     init_weights,
@@ -275,5 +278,161 @@ def test_runner_skips_trailing_padding_and_runs_embed_and_head_once(kind):
     assert np.array_equal(out, ref)
     assert len(padded.records) == len(cut.records)
     assert _records_reading(padded, weights["embedding"]) == 1
-    heads = _records_reading(padded, weights["head_w"])
-    assert heads == (3 if kind == "jordan" else 1)
+    # jordan's head runs inside the fused recurrence, which reads head_w once
+    assert _records_reading(padded, weights["head_w"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the fused recurrence against a per-step tape of the elementary ops
+
+
+def _ref_preact(tape, spec, weights, gate, x, recur_in):
+    bias = weights[_gate_name("b", gate)] if spec.has_bias(gate) else None
+    rec = ad.affine(tape, weights[_gate_name("u", gate)], recur_in, bias)
+    if spec.tensorized:
+        inp = ad.tt_linear(tape, weights.tt_cores(gate), spec.facto, spec.tt_ranks, x)
+    else:
+        inp = ad.affine(tape, weights[_gate_name("w", gate)], x)
+    return ad.add(tape, inp, rec)
+
+
+def _ref_advance(tape, spec, weights, x, state):
+    pre = lambda gate, recur_in: _ref_preact(tape, spec, weights, gate, x, recur_in)  # noqa: E731
+    if spec.kind in ("elman", "t_rnn"):
+        return CellState(h=ad.tanh(tape, pre("", state.h)))
+    if spec.kind == "jordan":
+        h = ad.tanh(tape, pre("", state.y))
+        logits = ad.affine(tape, weights["head_w"], h, weights["head_b"])
+        return CellState(h=h, y=ad.softmax(tape, logits))
+    if spec.kind in ("gru", "t_gru"):
+        r = ad.sigmoid(tape, pre("r", state.h))
+        z = ad.sigmoid(tape, pre("z", state.h))
+        d = ad.tanh(tape, pre("d", ad.hadamard(tape, r, state.h)))
+        keep = ad.hadamard(tape, ad.one_minus(tape, z), state.h)
+        return CellState(h=ad.add(tape, keep, ad.hadamard(tape, z, d)))
+    k = ad.sigmoid(tape, pre("k", state.h))
+    f = ad.sigmoid(tape, pre("f", state.h))
+    o = ad.sigmoid(tape, pre("o", state.h))
+    g = ad.tanh(tape, pre("g", state.h))
+    c = ad.add(tape, ad.hadamard(tape, f, state.c), ad.hadamard(tape, k, g))
+    return CellState(h=ad.hadamard(tape, o, ad.tanh(tape, c)), c=c)
+
+
+def _ref_run(tape, spec, weights, ids, mask):
+    """Every column, one op per gate and step, masked steps blended away."""
+    state = init_state(spec, batch=ids.shape[0])
+    for t in range(ids.shape[1]):
+        x = ad.embed(tape, weights["embedding"], ids[:, t])
+        new = _ref_advance(tape, spec, weights, x, state)
+        m = mask[:, t : t + 1]
+        state = CellState(
+            **{
+                name: ad.blend(tape, m, getattr(new, name), getattr(state, name))
+                for name in ("h", "c", "y")
+                if getattr(new, name) is not None
+            }
+        )
+    if spec.kind == "jordan":
+        return state.y
+    logits = ad.affine(tape, weights["head_w"], state.h, weights["head_b"])
+    return ad.softmax(tape, logits)
+
+
+def _loss_and_grads(run, spec, weights, ids, mask, labels):
+    ad.zero_grads(weights.params())
+    tape = Tape()
+    probs = run(tape, spec, weights, ids, mask)
+    ad.backward(tape, ad.cross_entropy_mean(tape, probs, labels))
+    grads = {
+        name: np.zeros(shape) if weights[name].grad is None else weights[name].grad
+        for name, shape in weight_templates(spec)
+    }
+    return probs.value.array, grads
+
+
+def _rel_close(got, want, rtol=1e-10):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.integers(0, 2),
+    st.integers(0, 2**31 - 1),
+)
+@example("gru", [4, 1, 3], 1, 0)  # rows ending early, a row of length 1, a padding column
+@example("t_lstm", [5, 2, 1], 2, 1)
+@example("jordan", [1, 3], 1, 2)
+def test_fused_recurrence_matches_the_per_step_tape(kind, lengths, padding, seed):
+    spec = _spec(kind)
+    weights = init_weights(spec, seed=seed)
+    gen = np.random.default_rng(seed)
+    steps = max(lengths) + padding
+    mask = (np.arange(steps)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
+    ids = gen.integers(1, spec.vocab_size, size=mask.shape) * mask.astype(np.int64)
+    labels = gen.integers(0, spec.num_classes, size=len(lengths))
+
+    fused = lambda tape, s, w, i, m: run_sequence(tape, s, w, i, mask=m)  # noqa: E731
+    probs, grads = _loss_and_grads(fused, spec, weights, ids, mask, labels)
+    want_probs, want_grads = _loss_and_grads(_ref_run, spec, weights, ids, mask, labels)
+    assert _rel_close(probs, want_probs)
+    for name, want in want_grads.items():
+        assert _rel_close(grads[name], want), name
+
+
+@pytest.mark.parametrize("kind", ["lstm", "jordan"])
+def test_two_chained_steps_gradient_finite_difference(kind):
+    """Gradients through two step calls reach the weights, both inputs and the state passed in."""
+    spec = _spec(kind)
+    weights = init_weights(spec, seed=12)
+    gen = np.random.default_rng(12)
+    xs = [Variable(tensor(gen.standard_normal((2, spec.embed_dim)))) for _ in range(2)]
+    parts = {"h": spec.hidden_dim, "c": spec.hidden_dim} if kind == "lstm" else {
+        "h": spec.hidden_dim, "y": spec.num_classes}
+    state0 = {name: Variable(tensor(0.5 * gen.standard_normal((2, w)))) for name, w in parts.items()}
+    probes = {name: tensor(gen.standard_normal((2, w))) for name, w in parts.items()}
+    labels = np.array([0, 2])
+
+    def loss_of(values, inputs, start):
+        tape = Tape()
+        state = CellState(**start)
+        for x in inputs:
+            state, probs = step(tape, spec, CellWeights(spec, values), x, state)
+        loss = ad.cross_entropy_mean(tape, probs, labels)
+        for name, probe in probes.items():  # every part of the final state counts
+            part = ad.sum_all(tape, ad.hadamard(tape, getattr(state, name), Variable(probe)))
+            loss = ad.add(tape, loss, part)
+        return tape, loss
+
+    tape, loss = loss_of(weights.values, xs, state0)
+    ad.backward(tape, loss)
+
+    def fd(loss_at, h=1e-6):
+        return (float(loss_at(h)[1].value.array) - float(loss_at(-h)[1].value.array)) / (2 * h)
+
+    def shifted(var, i, delta):
+        flat = var.value.array.reshape(-1).copy()
+        flat[i] += delta
+        return Variable(tensor(flat.reshape(var.value.shape)))
+
+    reached = {}
+    for name, var in state0.items():
+        reached[name] = False
+        for i in range(var.value.size):
+            want = fd(lambda d: loss_of(weights.values, xs, {**state0, name: shifted(var, i, d)}))
+            assert abs(var.grad.reshape(-1)[i] - want) <= 1e-6 * max(1.0, abs(want)), (name, i)
+            reached[name] |= abs(want) > 1e-8
+    # the fed-back parts of the state passed in reach the loss; jordan feeds back y only
+    assert reached == ({"h": True, "c": True} if kind == "lstm" else {"h": False, "y": True})
+    for j in range(len(xs)):
+        for i in range(xs[j].value.size):
+            want = fd(lambda d: loss_of(
+                weights.values, [shifted(x, i, d) if k == j else x for k, x in enumerate(xs)], state0))
+            assert abs(xs[j].grad.reshape(-1)[i] - want) <= 1e-6 * max(1.0, abs(want)), (j, i)
+    assert weights["embedding"].grad is None  # the inputs come in already embedded
+    for name, _ in weight_templates(spec)[1:]:
+        var = weights[name]
+        i = int(np.argmax(np.abs(var.grad)))
+        want = fd(lambda d: loss_of({**weights.values, name: shifted(var, i, d)}, xs, state0))
+        assert abs(var.grad.reshape(-1)[i] - want) <= 1e-6 * max(1.0, abs(want)), name

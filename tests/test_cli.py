@@ -82,6 +82,24 @@ def test_clean_crlf_input_gives_identical_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_clean_reads_past_a_byte_order_mark(tmp_path, suffix):
+    body = (
+        open(data_path("raw_golden.csv"), "rb").read()
+        if suffix == "csv"
+        else _RAW_OK + b'{"id": "b", "text": "so sad", "label": "Sad"}\n'
+    )
+    outputs = []
+    for tag, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        src = tmp_path / ("%s.%s" % (tag, suffix))
+        src.write_bytes(prefix + body)
+        out = tmp_path / ("%s.out.jsonl" % tag)
+        proc = run_cli(["clean", "--in", str(src), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_clean_missing_input_exits_2(tmp_path):
     missing = str(tmp_path / "nope.csv")
     proc = run_cli(["clean", "--in", missing, "--out", str(tmp_path / "o.jsonl")])
@@ -361,6 +379,24 @@ def test_train_mode_mismatch_exits_2(corpus_file, tmp_path):
     )
     assert proc.returncode == 2
     assert "32" in proc.stderr and "16" in proc.stderr
+
+
+@pytest.mark.parametrize("cell", ["gru", "t-lstm"])
+def test_train_that_goes_non_finite_exits_2(corpus_file, tmp_path, cell):
+    model = tmp_path / "m.ttrnn"
+    log = tmp_path / "m.log.jsonl"
+    proc = run_cli(
+        ["train", "--data", corpus_file, "--out", str(model), "--log", str(log),
+         "--cell", cell, "--hidden", "8", "--embed", "8", "--epochs", "2",
+         "--optimizer", "sgd", "--lr", "1e305"]
+    )
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and "Warning" not in proc.stderr
+    assert errors[0].startswith("ERROR NonFiniteTraining: training went non-finite at epoch 1, batch ")
+    assert not model.exists()
+    for line in log.read_text(encoding="utf-8").splitlines():
+        json.loads(line, parse_constant=lambda c: pytest.fail("log holds %s" % c))
 
 
 def test_train_same_seed_is_byte_identical(corpus_file, tmp_path):

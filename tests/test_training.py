@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ttrnn.autodiff import Variable
-from ttrnn.errors import ClassTooSmall, EmptyTestSet, ShapeMismatch
+from ttrnn import training
+from ttrnn.errors import ClassTooSmall, EmptyTestSet, NonFiniteTraining, ShapeMismatch
 from ttrnn.tensor import tensor
 from ttrnn.textpipe import CleanExample
 from ttrnn.training import (
@@ -285,6 +286,22 @@ def test_train_is_deterministic_and_replayable(tiny_corpus):
     for v1, v2 in zip(b1.weights.params(), b2.weights.params()):
         assert np.array_equal(v1.value.array, v2.value.array)
     assert json.dumps(r1[0], sort_keys=True) == json.dumps(r2[0], sort_keys=True)
+
+
+def test_non_finite_gradient_norm_stops_training(tiny_corpus, monkeypatch):
+    config = TrainConfig(epochs_max=1, seed=11, hidden_dim=8, embed_dim=8, max_len=10)
+    norms = iter([1.0, float("nan")])
+    monkeypatch.setattr(training, "gradient_norm", lambda params: next(norms))
+    with pytest.raises(NonFiniteTraining, match="epoch 1, batch 2: the gradient norm is nan"):
+        train(config, tiny_corpus, "gru")
+
+
+def test_clip_gradients_reuses_a_given_norm():
+    a = Variable(tensor([3.0]))
+    a.add_grad(np.array([3.0]))
+    assert training.gradient_norm([a]) == 3.0
+    assert clip_gradients([a], max_norm=1.0, norm=6.0) == 6.0
+    assert a.grad[0] == 0.5  # scaled by 1 / 6, the norm it was given
 
 
 def test_train_log_structure_and_untimed_runs_log_zero_seconds(tiny_bundle):
