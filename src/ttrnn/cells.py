@@ -15,9 +15,11 @@ one `tt_weight` per gate that rebuilds the dense W from the cores, one
 record for the whole recurrence (the fused forward and analytic BPTT of
 the recurrence module), and the head once from the final state (jordan,
 which feeds its output back, runs its head inside the recurrence).  An
-optional 0/1 mask freezes state (value and gradient) on padded
-positions, and the runner stops at the last real token.  step is a
-one-step run of the same record, so chained steps stay differentiable.
+optional mask, 1 on a prefix of each row and 0 after it, gives each
+row's length: step t updates only the rows still running, so a finished
+row keeps its state (and, backward, its adjoint), and the runner stops
+at the longest row's last token.  step is a one-step run of the same
+record, so chained steps stay differentiable.
 
 Gate naming: gru uses r (reset), z (update), d (candidate); lstm uses
 k (input), f (forget), o (output), g (candidate).
@@ -37,18 +39,18 @@ from .errors import EmptySequence, ShapeMismatch
 from .tensor import _wrap
 from .ttcore import ModeFactorization, check_ranks, random_tt
 
-KINDS = ("elman", "jordan", "lstm", "gru", "t_rnn", "t_lstm", "t_gru")
-TENSORIZED = ("t_rnn", "t_lstm", "t_gru")
-
-_GATES = {
-    "elman": ("",),
-    "jordan": ("",),
-    "t_rnn": ("",),
-    "gru": ("r", "z", "d"),
-    "t_gru": ("r", "z", "d"),
-    "lstm": ("k", "f", "o", "g"),
-    "t_lstm": ("k", "f", "o", "g"),
+# kind -> (recurrence family, gates); a t_ kind is its dense twin fed by TT cores
+_KINDS = {
+    "elman": ("elman", ("",)),
+    "jordan": ("jordan", ("",)),
+    "lstm": ("lstm", ("k", "f", "o", "g")),
+    "gru": ("gru", ("r", "z", "d")),
+    "t_rnn": ("elman", ("",)),
+    "t_lstm": ("lstm", ("k", "f", "o", "g")),
+    "t_gru": ("gru", ("r", "z", "d")),
 }
+KINDS = tuple(_KINDS)
+TENSORIZED = ("t_rnn", "t_lstm", "t_gru")
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,12 @@ class CellSpec:
         return self.kind in TENSORIZED
 
     @property
+    def family(self) -> str:
+        return _KINDS[self.kind][0]
+
+    @property
     def gates(self) -> tuple:
-        return _GATES[self.kind]
+        return _KINDS[self.kind][1]
 
     @cached_property
     def facto(self) -> ModeFactorization | None:
@@ -165,7 +171,7 @@ def weight_templates(spec: CellSpec):
                 out.append(("%s.core%d" % (_gate_name("w", gate), k), shape))
         else:
             out.append((_gate_name("w", gate), (h, e)))
-        feedback = c if spec.kind == "jordan" else h
+        feedback = c if spec.family == "jordan" else h
         out.append((_gate_name("u", gate), (h, feedback)))
         if spec.has_bias(gate):
             out.append((_gate_name("b", gate), (h,)))
@@ -249,12 +255,8 @@ class CellState:
 
 def _state_parts(spec: CellSpec):
     """(field, width) of each CellState part the family carries, in order."""
-    h = ("h", spec.hidden_dim)
-    if spec.kind in ("lstm", "t_lstm"):
-        return (h, ("c", spec.hidden_dim))
-    if spec.kind == "jordan":
-        return (h, ("y", spec.num_classes))
-    return (h,)
+    extra = {"lstm": (("c", spec.hidden_dim),), "jordan": (("y", spec.num_classes),)}
+    return (("h", spec.hidden_dim),) + extra.get(spec.family, ())
 
 
 def init_state(spec: CellSpec, batch: int | None = None) -> CellState:
@@ -269,15 +271,15 @@ def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
     return ad.softmax(tape, logits)
 
 
-def _recurrence(tape, spec, weights, xs, batch, state=None, mask=None, keep=None) -> dict:
+def _recurrence(tape, spec, weights, xs, batch, state=None, lengths=None, keep=None) -> dict:
     """The whole recurrence over xs as one tape record; returns the final state.
 
     xs holds T steps of `batch` rows ((T, B, E); (T, E) or (E,) when batch
-    is None), state None means zeros, mask is (T, B, 1) or None.  Returns
-    {field: Variable} for the CellState fields in `keep` (default all);
-    the op emits them packed in one Variable, split by `ad.columns` when
-    there are several.  TT kinds first rebuild each gate's dense W with
-    `ad.tt_weight`.
+    is None), state None means zeros, lengths is each row's number of
+    steps ((B,), or None for all T).  Returns {field: Variable} for the
+    CellState fields in `keep` (default all); the op emits them packed in
+    one Variable, split by `ad.columns` when there are several.  TT kinds
+    first rebuild each gate's dense W with `ad.tt_weight`.
     """
     gates, n = spec.gates, spec.hidden_dim
     if spec.tensorized:
@@ -286,7 +288,7 @@ def _recurrence(tape, spec, weights, xs, batch, state=None, mask=None, keep=None
         ws = [weights[_gate_name("w", g)] for g in gates]
     us = [weights[_gate_name("u", g)] for g in gates]
     bs = [weights[_gate_name("b", g)] if spec.has_bias(g) else None for g in gates]
-    head = [weights["head_w"], weights["head_b"]] if spec.kind == "jordan" else []
+    head = [weights["head_w"], weights["head_b"]] if spec.family == "jordan" else []
     parts = _state_parts(spec)
     keep = [name for name, _ in parts] if keep is None else list(keep)
     rows = 1 if batch is None else batch
@@ -298,13 +300,13 @@ def _recurrence(tape, spec, weights, xs, batch, state=None, mask=None, keep=None
         state0 = tuple(v.value.array.reshape(rows, -1) for v in given)
 
     final, pull = recurrence.run(
-        recurrence.FAMILY[spec.kind],
+        spec.family,
         xs.value.array.reshape(-1, rows, spec.embed_dim),
         np.concatenate([v.value.array for v in ws]),
         np.concatenate([v.value.array for v in us]),
         np.concatenate([np.zeros(n) if v is None else v.value.array for v in bs]),
         state0,
-        mask,
+        lengths,
         tuple(v.value.array for v in head),
     )
     kept = [(i, name, width) for i, (name, width) in enumerate(parts) if name in keep]
@@ -345,7 +347,7 @@ def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: C
     """
     batch = x.value.shape[0] if x.value.array.ndim == 2 else None
     state = CellState(**_recurrence(tape, spec, weights, x, batch, state))
-    return state, state.y if spec.kind == "jordan" else head_probs(tape, weights, state.h)
+    return state, state.y if spec.family == "jordan" else head_probs(tape, weights, state.h)
 
 
 def run_sequence(
@@ -358,39 +360,39 @@ def run_sequence(
     """Run embedded tokens through the cell; return final class probabilities.
 
     token_ids is an int array, (T,) for one sequence or (B, T) for a
-    batch.  mask, if given, has the same shape with 1 on real tokens and 0
-    on padding; masked positions leave the state untouched so the returned
-    probabilities correspond to each sequence's last real token.  Raises
-    EmptySequence when there is nothing to run.
+    batch.  mask, if given, has the same shape and must be 1 on a prefix
+    of each row (its real tokens) and 0 after it (padding); anything else
+    raises ShapeMismatch.  Each row runs only its own length, so the
+    returned probabilities correspond to each sequence's last real token.
+    Raises EmptySequence when there is nothing to run.
     """
     ids = np.asarray(token_ids)
     if ids.dtype.kind not in "iu":
         raise ShapeMismatch("token ids must be integers")
     if ids.ndim not in (1, 2):
         raise ShapeMismatch("token ids must be (T,) or (B, T), got %r" % (ids.shape,))
-    batched = ids.ndim == 2
     steps = ids.shape[-1]
     if steps == 0:
         raise EmptySequence("no tokens to run")
+    lengths = None
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != ids.shape:
             raise ShapeMismatch(
                 "mask shape %r does not match ids %r" % (mask.shape, ids.shape)
             )
-        totals = mask.sum(axis=-1)
-        if np.any(totals == 0):
+        lengths = (mask == 1.0).sum(axis=-1).reshape(-1)
+        if not np.array_equal(mask.reshape(len(lengths), -1), np.arange(steps) < lengths[:, None]):
+            raise ShapeMismatch("mask must be 1 on a prefix of each row and 0 after it")
+        if lengths.min() == 0:
             raise EmptySequence("sequence with no unmasked tokens")
-        # masked steps are the identity: stop after the last real column
-        steps = int(np.flatnonzero(mask.reshape(-1, steps).any(axis=0))[-1]) + 1
+        steps = int(lengths.max())  # the rest is padding in every row
 
     xs = ad.embed(tape, weights["embedding"], ids[..., :steps].T)  # (T, [B,] E)
-    if mask is not None:
-        mask = mask[..., :steps].T.reshape(steps, -1, 1)
-    batch = ids.shape[0] if batched else None
-    if spec.kind == "jordan":  # its head ran inside the recurrence: y is the probabilities
-        return _recurrence(tape, spec, weights, xs, batch, mask=mask, keep=("y",))["y"]
-    h = _recurrence(tape, spec, weights, xs, batch, mask=mask, keep=("h",))["h"]
+    batch = ids.shape[0] if ids.ndim == 2 else None
+    if spec.family == "jordan":  # its head ran inside the recurrence: y is the probabilities
+        return _recurrence(tape, spec, weights, xs, batch, lengths=lengths, keep=("y",))["y"]
+    h = _recurrence(tape, spec, weights, xs, batch, lengths=lengths, keep=("h",))["h"]
     return head_probs(tape, weights, h)
 
 

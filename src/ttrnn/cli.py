@@ -40,8 +40,8 @@ from .training import (
     encode_examples,
     evaluate_model,
     model_probabilities,
+    recorded_test_set,
     resolve_task,
-    split_train_test,
     train,
 )
 from .ttcore import (
@@ -205,24 +205,16 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     bundle = load_model(args.model)
     examples = _load_examples(args.data)
-    _, label_of = resolve_task(bundle.task)
-    usable, dropped = drop_untokenizable(examples)
-    if dropped:
-        log.info("dropped %d examples with no tokens", dropped)
     if args.split == "test":
-        split = bundle.split or {}
-        if "fraction" not in split or "seed" not in split:
-            raise ShapeMismatch(
-                "model records no train/test split; use --split all"
-            )
-        _, subset = split_train_test(
-            usable, split["fraction"], split["seed"], key=label_of
-        )
-        log.info("evaluating the recorded test split: %d examples", len(subset))
+        encoded = recorded_test_set(bundle, examples)
+        log.info("evaluating the recorded test split: %d examples", len(encoded))
     else:
-        subset = usable
-        log.info("evaluating all %d examples", len(subset))
-    encoded = encode_examples(subset, bundle.vocab, bundle.max_len, bundle.labels, label_of)
+        _, label_of = resolve_task(bundle.task)
+        usable, dropped = drop_untokenizable(examples)
+        if dropped:
+            log.info("dropped %d examples with no tokens", dropped)
+        encoded = encode_examples(usable, bundle.vocab, bundle.max_len, bundle.labels, label_of)
+        log.info("evaluating all %d examples", len(encoded))
     report = evaluate_model(bundle.spec, bundle.weights, encoded)
     _print_report(bundle.labels, report)
     return 0
@@ -429,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing",
         action="store_true",
         help="record wall-clock seconds per epoch in the log (off keeps logs "
-        "byte-identical across machines)",
+        "byte-identical between runs)",
     )
     p.add_argument(
         "--log",

@@ -63,6 +63,10 @@ class EmptySequence(TtrnnError):
     pass
 
 
+class CorpusMismatch(TtrnnError):
+    """The examples given are not the corpus a model was trained on."""
+
+
 class NonFiniteTraining(TtrnnError):
     """A batch's loss, gradient or an intermediate value left the finite range."""
 

@@ -2,9 +2,10 @@
 
 The loop is single-threaded and fully seeded: example shuffles, weight
 initialization and the train/validation/test splits all derive from the
-config seed through named sub-seeds, so a config run twice produces
-byte-identical logs and model files.  Wall-clock numbers are recorded
-only when timing is switched on, precisely so that logs stay comparable.
+config seed through named sub-seeds, so a config run twice on the same
+machine, numpy build and BLAS thread setting produces byte-identical logs
+and model files.  Wall-clock numbers are recorded only when timing is
+switched on, precisely so that logs stay comparable.
 
 Training that leaves the finite range stops with NonFiniteTraining,
 naming the epoch and the batch: numpy overflow, invalid values and
@@ -20,6 +21,7 @@ scored the highest validation macro-F1 is the checkpoint returned.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -33,7 +35,7 @@ from . import cells as cells_mod
 from . import rng
 from .autodiff import Tape, Variable
 from .cells import CellSpec, CellWeights, init_weights, run_sequence, weight_templates
-from .errors import ClassTooSmall, EmptyTestSet, NonFiniteTraining, ShapeMismatch
+from .errors import ClassTooSmall, CorpusMismatch, EmptyTestSet, NonFiniteTraining, ShapeMismatch
 from .metrics import MetricsReport, evaluate as evaluate_metrics
 from .modelio import ModelBundle
 from .tensor import _wrap
@@ -74,8 +76,10 @@ class TrainConfig:
             raise ShapeMismatch("tt_ranks must be positive")
         if self.early_stop_patience < 0:
             raise ShapeMismatch("early_stop_patience must be >= 0")
-        if self.learning_rate <= 0:
-            raise ShapeMismatch("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ShapeMismatch("learning_rate must be finite and positive, got %r" % self.learning_rate)
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ShapeMismatch("clip_norm must be finite and positive, got %r" % self.clip_norm)
         if self.optimizer not in ("sgd", "adam"):
             raise ShapeMismatch("optimizer must be sgd or adam")
 
@@ -305,6 +309,7 @@ class PreparedData:
     val: list = field(default_factory=list)
     test: list = field(default_factory=list)
     dropped_empty: int = 0
+    corpus_sha256: str = ""  # corpus_fingerprint of the usable examples
 
 
 def resolve_task(task: str):
@@ -328,6 +333,16 @@ def drop_untokenizable(clean_examples):
     return usable, dropped
 
 
+def corpus_fingerprint(examples, label_of) -> str:
+    """SHA-256 over each example's (clean_text, task label), in order.
+
+    The text's length prefix keeps the boundary between text and label
+    unambiguous.
+    """
+    lines = "".join("%d %s %s\n" % (len(ex.clean_text), ex.clean_text, label_of(ex)) for ex in examples)
+    return hashlib.sha256(lines.encode("utf-8", "surrogatepass")).hexdigest()
+
+
 def encode_examples(examples, vocab, max_len: int, labels, label_of) -> list:
     """Encode cleaned examples; each class id is label_of(ex)'s index in labels."""
     label_id = {name: i for i, name in enumerate(labels)}
@@ -340,8 +355,9 @@ def encode_examples(examples, vocab, max_len: int, labels, label_of) -> list:
 def prepare_dataset(clean_examples, config: TrainConfig, task: str = "emotion") -> PreparedData:
     """Split cleaned examples, build the vocabulary on train only, encode.
 
-    The validation slice is 10% of train, stratified, carved with a
-    sub-seed so it is independent of the train/test draw.
+    The vocabulary is built on the whole train side before the validation
+    slice is carved out of it.  That slice is 10% of train, stratified,
+    carved with a sub-seed so it is independent of the train/test draw.
     """
     labels, label_of = resolve_task(task)
 
@@ -367,7 +383,31 @@ def prepare_dataset(clean_examples, config: TrainConfig, task: str = "emotion") 
         val=val,
         test=test_enc,
         dropped_empty=dropped,
+        corpus_sha256=corpus_fingerprint(usable, label_of),
     )
+
+
+def recorded_test_set(bundle: ModelBundle, clean_examples) -> list:
+    """The encoded test split of the corpus `bundle` was trained on.
+
+    Drops untokenizable examples as training did, checks the rest against
+    the corpus fingerprint the model records (a model file without one is
+    trusted), replays the recorded split and encodes its test side.
+    Raises CorpusMismatch when the examples are not that corpus.
+    """
+    _, label_of = resolve_task(bundle.task)
+    usable, _ = drop_untokenizable(clean_examples)
+    split = bundle.split or {}
+    if "fraction" not in split or "seed" not in split:
+        raise ShapeMismatch("model records no train/test split; use --split all")
+    recorded = split.get("corpus_sha256")
+    if recorded is not None and recorded != corpus_fingerprint(usable, label_of):
+        raise CorpusMismatch(
+            "these %d usable examples are not the corpus the model was trained on; "
+            "use --split all to score them" % len(usable)
+        )
+    _, test = split_train_test(usable, split["fraction"], split["seed"], key=label_of)
+    return encode_examples(test, bundle.vocab, bundle.max_len, bundle.labels, label_of)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +544,10 @@ def train(
         max_len=config.max_len,
         train_config=config.to_dict(),
         metrics={"test": test_report.to_dict()},
-        split={"fraction": config.split_fraction, "seed": config.seed},
+        split={
+            "fraction": config.split_fraction,
+            "seed": config.seed,
+            "corpus_sha256": data.corpus_sha256,
+        },
     )
     return bundle, records

@@ -218,6 +218,8 @@ def tt_svd(
             "matrix shape %r does not match factorization (%d, %d)"
             % (w.shape, facto.rows, facto.cols)
         )
+    if eps is not None and not (math.isfinite(eps) and eps >= 0):
+        raise ShapeMismatch("eps must be finite and >= 0, got %r" % eps)
     d = facto.order
     if max_ranks is not None:
         max_ranks = check_ranks(max_ranks, d)

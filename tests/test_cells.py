@@ -166,6 +166,22 @@ def test_run_sequence_rejects_empty_and_all_masked():
         run_sequence(Tape(), spec, weights, ids, mask=mask)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [[1.0, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 1.0]],
+    ids=["hole", "fractional", "padding-first"],
+)
+def test_run_sequence_rejects_a_mask_that_is_not_a_prefix(row):
+    spec = _spec("gru")
+    weights = init_weights(spec, seed=2)
+    ids = np.array([[1, 2, 3], [4, 5, 6]])
+    mask = np.array([[1.0, 1.0, 1.0], row])
+    with pytest.raises(ShapeMismatch, match="prefix"):
+        run_sequence(Tape(), spec, weights, ids, mask=mask)
+    with pytest.raises(ShapeMismatch, match="prefix"):
+        classify(spec, weights, ids[1], mask=mask[1])
+
+
 def test_classify_returns_indices():
     spec = _spec("lstm")
     weights = init_weights(spec, seed=5)
@@ -364,6 +380,7 @@ def _rel_close(got, want, rtol=1e-10):
 @example("gru", [4, 1, 3], 1, 0)  # rows ending early, a row of length 1, a padding column
 @example("t_lstm", [5, 2, 1], 2, 1)
 @example("jordan", [1, 3], 1, 2)
+@example("lstm", [1, 5, 3], 0, 3)  # rows not in length order
 def test_fused_recurrence_matches_the_per_step_tape(kind, lengths, padding, seed):
     spec = _spec(kind)
     weights = init_weights(spec, seed=seed)

@@ -399,6 +399,22 @@ def test_train_that_goes_non_finite_exits_2(corpus_file, tmp_path, cell):
         json.loads(line, parse_constant=lambda c: pytest.fail("log holds %s" % c))
 
 
+@pytest.mark.parametrize(
+    "option,value",
+    [("--lr", "nan"), ("--lr", "inf"), ("--clip", "nan"), ("--clip", "-1"), ("--clip", "0")],
+)
+def test_train_bad_numeric_option_exits_2(corpus_file, tmp_path, option, value):
+    model = tmp_path / "m.ttrnn"
+    proc = run_cli(
+        ["train", "--data", corpus_file, "--out", str(model), "--log", str(tmp_path / "m.log"),
+         *TRAIN_ARGS, option, value]
+    )
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and "Traceback" not in proc.stderr
+    assert not model.exists()
+
+
 def test_train_same_seed_is_byte_identical(corpus_file, tmp_path):
     outputs = []
     for tag in ("a", "b"):
@@ -432,6 +448,21 @@ def test_evaluate_test_split_matches_train_report(trained, corpus_file):
     # train command printed, reproduced from the stored split
     tail = trained["stdout"].split("test metrics\n", 1)[1]
     assert proc.stdout == tail
+
+
+def test_evaluate_test_split_of_another_corpus_exits_2(trained, tmp_path):
+    from ttrnn.synth import make_dataset
+    from ttrnn.textpipe import clean_example, write_clean_jsonl
+
+    other = tmp_path / "other.jsonl"
+    with open(other, "w", encoding="utf-8") as f:
+        write_clean_jsonl([clean_example(r) for r in make_dataset(120, seed=6)], f)
+    proc = run_cli(["evaluate", "--model", trained["model"], "--data", str(other)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "ERROR CorpusMismatch: " in proc.stderr
+    proc = run_cli(["evaluate", "--model", trained["model"], "--data", str(other), "--split", "all"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_evaluate_all_split_runs(trained, corpus_file):
@@ -608,6 +639,15 @@ def test_compress_rejects_ranks_with_eps(big_matrix, tmp_path):
         ]
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+def test_compress_bad_eps_exits_2(big_matrix, tmp_path, eps):
+    out = tmp_path / "w.tt"
+    proc = run_cli(["compress", "--matrix", big_matrix, "--eps", eps, "--out", str(out)])
+    assert proc.returncode == 2
+    assert "eps must be finite and >= 0" in proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

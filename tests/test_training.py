@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from ttrnn.autodiff import Variable
 from ttrnn import training
-from ttrnn.errors import ClassTooSmall, EmptyTestSet, NonFiniteTraining, ShapeMismatch
+from ttrnn.errors import ClassTooSmall, CorpusMismatch, EmptyTestSet, NonFiniteTraining, ShapeMismatch
 from ttrnn.tensor import tensor
 from ttrnn.textpipe import CleanExample
 from ttrnn.training import (
@@ -16,6 +17,7 @@ from ttrnn.training import (
     evaluate_model,
     param_counts,
     prepare_dataset,
+    recorded_test_set,
     sgd_step,
     split_train_test,
     train,
@@ -46,6 +48,22 @@ def test_train_config_validation():
     with pytest.raises(ShapeMismatch):
         TrainConfig(early_stop_patience=-1)
     assert TrainConfig().to_dict()["epochs_max"] == 450
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"clip_norm": float("nan")},
+        {"clip_norm": float("inf")},
+        {"clip_norm": -1.0},
+        {"clip_norm": 0.0},
+    ],
+)
+def test_train_config_rejects_a_non_finite_or_non_positive_rate_or_clip(setting):
+    with pytest.raises(ShapeMismatch, match="finite and positive"):
+        TrainConfig(**setting)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +358,22 @@ def test_evaluate_model_reproduces_stored_test_metrics(tiny_corpus, tiny_bundle)
     data = prepare_dataset(tiny_corpus, config, task=bundle.task)
     report = evaluate_model(bundle.spec, bundle.weights, data.test)
     assert report.to_dict() == bundle.metrics["test"]
+
+
+def test_recorded_test_set_replays_only_the_training_corpus(tiny_corpus, tiny_bundle):
+    bundle, _, _ = tiny_bundle
+    test = recorded_test_set(bundle, tiny_corpus)
+    report = evaluate_model(bundle.spec, bundle.weights, test)
+    assert report.to_dict() == bundle.metrics["test"]
+    swapped = tiny_corpus[1::-1] + tiny_corpus[2:]  # same examples, another order
+    for other in (swapped, tiny_corpus[:-1]):
+        with pytest.raises(CorpusMismatch):
+            recorded_test_set(bundle, other)
+    # a model file from before the fingerprint replays its split unchecked
+    unchecked = dataclasses.replace(bundle, split={"fraction": 0.8, "seed": 7})
+    assert len(recorded_test_set(unchecked, swapped)) == len(test)
+    with pytest.raises(ShapeMismatch, match="no train/test split"):
+        recorded_test_set(dataclasses.replace(bundle, split=None), tiny_corpus)
 
 
 def test_evaluate_model_empty_rejected(tiny_bundle):
