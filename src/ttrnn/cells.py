@@ -10,16 +10,16 @@ the input width.
 A cell owns its whole parameter set: embedding table, per-gate input and
 recurrent maps, biases, and the class head.  Steps run on a Tape and
 accept single vectors or batches.  run_sequence puts a handful of records
-on the tape per batch: one embedding lookup of all tokens, for TT kinds
-one `tt_weight` per gate that rebuilds the dense W from the cores, one
-record for the whole recurrence (the fused forward and analytic BPTT of
-the recurrence module), and the head once from the final state (jordan,
-which feeds its output back, runs its head inside the recurrence).  An
-optional mask, 1 on a prefix of each row and 0 after it, gives each
-row's length: step t updates only the rows still running, so a finished
-row keeps its state (and, backward, its adjoint), and the runner stops
-at the longest row's last token.  step is a one-step run of the same
-record, so chained steps stay differentiable.
+on the tape per batch: one embedding lookup of the real tokens, for TT
+kinds one `tt_weight` per gate that rebuilds the dense W from the cores,
+one record for the whole recurrence (the fused forward and analytic BPTT
+of the recurrence module), and the head once from the final state
+(jordan, which feeds its output back, runs its head inside the
+recurrence).  An optional mask, 1 on a prefix of each row and 0 after it,
+gives each row's length.  Only the real tokens are embedded and run,
+packed time-major as the recurrence module describes, so padding costs
+nothing.  step is a one-step run of the same record, so chained steps
+stay differentiable.
 
 Gate naming: gru uses r (reset), z (update), d (candidate); lstm uses
 k (input), f (forget), o (output), g (candidate).
@@ -271,15 +271,16 @@ def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
     return ad.softmax(tape, logits)
 
 
-def _recurrence(tape, spec, weights, xs, batch, state=None, lengths=None, keep=None) -> dict:
+def _recurrence(tape, spec, weights, xs, lengths, batch, state=None, keep=None) -> dict:
     """The whole recurrence over xs as one tape record; returns the final state.
 
-    xs holds T steps of `batch` rows ((T, B, E); (T, E) or (E,) when batch
-    is None), state None means zeros, lengths is each row's number of
-    steps ((B,), or None for all T).  Returns {field: Variable} for the
-    CellState fields in `keep` (default all); the op emits them packed in
-    one Variable, split by `ad.columns` when there are several.  TT kinds
-    first rebuild each gate's dense W with `ad.tt_weight`.
+    xs holds the real tokens packed time-major ((Σ lengths, E), or (E,)
+    for one step of one row), lengths is each row's number of steps ((B,);
+    (1,) when batch is None), state None means zeros.  Returns {field:
+    Variable} for the CellState fields in `keep` (default all); the op
+    emits them side by side in one Variable, split by `ad.columns` when
+    there are several.  TT kinds first rebuild each gate's dense W with
+    `ad.tt_weight`.
     """
     gates, n = spec.gates, spec.hidden_dim
     if spec.tensorized:
@@ -291,7 +292,7 @@ def _recurrence(tape, spec, weights, xs, batch, state=None, lengths=None, keep=N
     head = [weights["head_w"], weights["head_b"]] if spec.family == "jordan" else []
     parts = _state_parts(spec)
     keep = [name for name, _ in parts] if keep is None else list(keep)
-    rows = 1 if batch is None else batch
+    rows = len(lengths)
     if state is None:
         given = []
         state0 = tuple(np.zeros((rows, width)) for _, width in parts)
@@ -301,12 +302,12 @@ def _recurrence(tape, spec, weights, xs, batch, state=None, lengths=None, keep=N
 
     final, pull = recurrence.run(
         spec.family,
-        xs.value.array.reshape(-1, rows, spec.embed_dim),
+        xs.value.array.reshape(-1, spec.embed_dim),
+        lengths,
         np.concatenate([v.value.array for v in ws]),
         np.concatenate([v.value.array for v in us]),
         np.concatenate([np.zeros(n) if v is None else v.value.array for v in bs]),
         state0,
-        lengths,
         tuple(v.value.array for v in head),
     )
     kept = [(i, name, width) for i, (name, width) in enumerate(parts) if name in keep]
@@ -346,7 +347,8 @@ def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: C
     a one-step run of the same fused op run_sequence uses.
     """
     batch = x.value.shape[0] if x.value.array.ndim == 2 else None
-    state = CellState(**_recurrence(tape, spec, weights, x, batch, state))
+    lengths = np.ones(1 if batch is None else batch, dtype=np.int64)
+    state = CellState(**_recurrence(tape, spec, weights, x, lengths, batch, state))
     return state, state.y if spec.family == "jordan" else head_probs(tape, weights, state.h)
 
 
@@ -362,9 +364,10 @@ def run_sequence(
     token_ids is an int array, (T,) for one sequence or (B, T) for a
     batch.  mask, if given, has the same shape and must be 1 on a prefix
     of each row (its real tokens) and 0 after it (padding); anything else
-    raises ShapeMismatch.  Each row runs only its own length, so the
-    returned probabilities correspond to each sequence's last real token.
-    Raises EmptySequence when there is nothing to run.
+    raises ShapeMismatch.  Only the real tokens are embedded and run,
+    packed time-major, so the returned probabilities correspond to each
+    sequence's last real token.  Raises EmptySequence when there is
+    nothing to run.
     """
     ids = np.asarray(token_ids)
     if ids.dtype.kind not in "iu":
@@ -374,7 +377,8 @@ def run_sequence(
     steps = ids.shape[-1]
     if steps == 0:
         raise EmptySequence("no tokens to run")
-    lengths = None
+    rows = ids.reshape(-1, steps)
+    lengths = np.full(len(rows), steps)
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != ids.shape:
@@ -386,13 +390,13 @@ def run_sequence(
             raise ShapeMismatch("mask must be 1 on a prefix of each row and 0 after it")
         if lengths.min() == 0:
             raise EmptySequence("sequence with no unmasked tokens")
-        steps = int(lengths.max())  # the rest is padding in every row
 
-    xs = ad.embed(tape, weights["embedding"], ids[..., :steps].T)  # (T, [B,] E)
+    running = np.arange(steps) < lengths[:, None]
+    xs = ad.embed(tape, weights["embedding"], rows.T[running.T])  # (Σ lengths, E), time-major
     batch = ids.shape[0] if ids.ndim == 2 else None
     if spec.family == "jordan":  # its head ran inside the recurrence: y is the probabilities
-        return _recurrence(tape, spec, weights, xs, batch, lengths=lengths, keep=("y",))["y"]
-    h = _recurrence(tape, spec, weights, xs, batch, lengths=lengths, keep=("h",))["h"]
+        return _recurrence(tape, spec, weights, xs, lengths, batch, keep=("y",))["y"]
+    h = _recurrence(tape, spec, weights, xs, lengths, batch, keep=("h",))["h"]
     return head_probs(tape, weights, h)
 
 

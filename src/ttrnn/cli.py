@@ -510,6 +510,12 @@ def main(argv=None) -> int:
     except OSError as e:
         log.error("%s", e)
         return 2
+    except MemoryError:
+        log.error(
+            "MemoryError: out of memory; use a smaller input or, for train, "
+            "lower --hidden, --embed, --max-len, --batch or --max-vocab"
+        )
+        return 2
     except Exception:
         log.exception("internal error")
         return 1

@@ -294,6 +294,9 @@ def test_runner_skips_trailing_padding_and_runs_embed_and_head_once(kind):
     assert np.array_equal(out, ref)
     assert len(padded.records) == len(cut.records)
     assert _records_reading(padded, weights["embedding"]) == 1
+    # only the real tokens are embedded, never a padding position
+    (embedded,) = [o for o, pulls in padded.records if pulls[0][0] is weights["embedding"]]
+    assert embedded.value.shape == (int(mask.sum()), spec.embed_dim)
     # jordan's head runs inside the fused recurrence, which reads head_w once
     assert _records_reading(padded, weights["head_w"]) == 1
 

@@ -1,11 +1,14 @@
 """End-to-end checks of the console entry point.
 
-Everything here runs the installed module in a subprocess (see run_cli in
-conftest), so these tests cover argument parsing, exit codes, logging and
-the exact stdout contracts other tooling is expected to scrape.
+Almost everything here runs the installed module in a subprocess (see
+run_cli in conftest), so these tests cover argument parsing, exit codes,
+logging and the exact stdout contracts other tooling is expected to
+scrape.  The last section calls `cli.main` in-process, where it has to
+replace an internal function or run many drawn option sets.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -13,6 +16,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, data_path, run_cli, seal_container, split_container
 
@@ -740,3 +745,92 @@ def test_malformed_input_file_exits_2(trained, tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("ERROR "), proc.stderr
     if line is not None:
         assert "line %d:" % line in lines[0], proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# in-process: cli.main with a replaced internal or drawn options
+
+
+@pytest.fixture(scope="module")
+def small_corpus_file(tmp_path_factory):
+    from ttrnn.synth import make_dataset
+    from ttrnn.textpipe import clean_example, write_clean_jsonl
+
+    path = tmp_path_factory.mktemp("small") / "train.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        write_clean_jsonl([clean_example(r) for r in make_dataset(60, seed=5)], f)
+    return str(path)
+
+
+def _main_in_process(argv):
+    """(exit code, stderr) of cli.main(argv), argparse's own exits included."""
+    from ttrnn.cli import main
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["init_weights", "encode"])
+def test_train_out_of_memory_exits_2(small_corpus_file, tmp_path, monkeypatch, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("ttrnn.training." + target, exhausted)
+    model = tmp_path / "m.ttrnn"
+    code, err = _main_in_process(["train", "--data", small_corpus_file, "--out", str(model), *TRAIN_ARGS])
+    assert code == 2, err
+    errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and "Traceback" not in err, err
+    assert errors[0].startswith("ERROR MemoryError: ")
+    for option in ("--hidden", "--embed", "--max-len", "--batch"):
+        assert option in errors[0]
+    assert not model.exists()
+
+
+_EDGES = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0])
+
+
+def _mostly(low, high):
+    """A float in [low, high] three times in four, else an edge case or any float."""
+    return st.integers(0, 3).flatmap(lambda k: st.floats(low, high) if k else _EDGES | st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=st.sampled_from(["gru", "t-gru", "lstm", "t-rnn", "jordan"]),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    hidden=st.integers(-1, 16),
+    embed=st.integers(-1, 16),
+    epochs=st.integers(-1, 2),
+    patience=st.integers(-1, 2),
+    batch=st.integers(-1, 64),
+    max_len=st.integers(-1, 16),
+    lr=_mostly(1e-4, 1.0),
+    clip=st.none() | _mostly(0.1, 10.0),
+    split=_mostly(0.2, 0.9),
+)
+@example("gru", "adam", 8, 8, 1, 0, 16, 8, 1e-3, None, 0.8)  # a valid run
+@example("t-gru", "sgd", 8, 8, 2, 1, 64, 16, 1e300, 1e-300, 0.5)  # goes non-finite
+@example("lstm", "adam", 0, 8, 1, 0, 16, 8, 1e-3, None, 0.8)
+@example("gru", "adam", 8, 8, 1, 0, 16, 8, float("-inf"), float("nan"), float("-0.0"))
+def test_train_numeric_options_exit_0_or_2(
+    small_corpus_file, fuzz_dir, cell, optimizer, hidden, embed, epochs, patience,
+    batch, max_len, lr, clip, split,
+):
+    argv = [
+        "train", "--data", small_corpus_file, "--out", str(fuzz_dir / "m.ttrnn"),
+        "--cell", cell, "--optimizer", optimizer, "--seed", "3",
+        "--hidden=%d" % hidden, "--embed=%d" % embed, "--epochs=%d" % epochs,
+        "--patience=%d" % patience, "--batch=%d" % batch, "--max-len=%d" % max_len,
+        "--lr=%r" % lr, "--split-fraction=%r" % split,
+    ]
+    if clip is not None:
+        argv.append("--clip=%r" % clip)
+    code, err = _main_in_process(argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
