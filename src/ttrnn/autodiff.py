@@ -50,13 +50,18 @@ class Variable:
         self.value = value
         self.grad = None
 
-    def add_grad(self, g: np.ndarray):
+    def add_grad(self, g: np.ndarray, copy: bool = True):
+        """Add g to .grad.  A first g is copied unless copy=False says
+        that nothing else holds it, in which case .grad becomes g itself."""
         if g.shape != self.value.shape:
             raise ShapeMismatch(
                 "gradient shape %r does not match value shape %r"
                 % (g.shape, self.value.shape)
             )
-        self.grad = g + 0.0 if self.grad is None else self.grad + g
+        if self.grad is not None:
+            self.grad = self.grad + g
+        else:
+            self.grad = g + 0.0 if copy else g
 
     def zero_grad(self):
         self.grad = None
@@ -82,6 +87,7 @@ def backward(tape: Tape, loss: Variable):
         raise NotScalar("loss must be a scalar, got shape %r" % (loss.value.shape,))
     adjoint = {id(loss): np.array(1.0)}
     holders = {id(loss): loss}
+    borrowed = set()  # keys whose adjoint is an array a pull was handed
     for out, pulls in reversed(tape.records):
         g = adjoint.pop(id(out), None)
         if g is None:
@@ -94,10 +100,15 @@ def backward(tape: Tape, loss: Variable):
             if held is None:
                 adjoint[key] = contribution
                 holders[key] = src
+                if contribution is g:
+                    borrowed.add(key)
             else:
                 adjoint[key] = held + contribution
+                borrowed.discard(key)
     for key, g in adjoint.items():
-        holders[key].add_grad(g)
+        # a fresh array that owns its data and no pull was handed is kept uncopied
+        owned = key not in borrowed and g.base is None and g.flags.writeable
+        holders[key].add_grad(g, copy=not owned)
 
 
 def zero_grads(variables):

@@ -162,7 +162,8 @@ def run(family: str, x, lengths, w, u, b, state, head=()):
     the final state's adjoints (a tuple like state) to a dict of adjoints
     keyed "x" (packed like x), "w", "u", "b", "state" and "head".
     """
-    xg = x @ w.T + b
+    xg = x @ w.T
+    xg += b
     live = [np.flatnonzero(lengths > t) for t in range(lengths.max())]
     ends = np.cumsum([len(r) for r in live])
     steps = [(slice(end - len(r), end), r) for end, r in zip(ends, live)]

@@ -7,13 +7,17 @@ sample can be produced independently of the others, identical seeds give
 bitwise-identical streams on every platform, and independent substreams
 are derived by hashing a tag into the seed (see ``split``).
 
-Gaussian variates come from the Box-Muller transform: sample i consumes
-uniforms at counters 2i and 2i+1.
+Gaussian variates come from the Box-Muller transform: sample i of `count`
+pairs the uniforms at counters i and count + i.  `normal` draws and
+transforms them WORK_CHUNK samples at a time, straight into its output, so
+its scratch memory does not grow with `count`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .tensor import WORK_CHUNK
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -52,18 +56,43 @@ def split(seed: int, *tags) -> int:
     return int(acc)
 
 
+def _uniform_into(out: np.ndarray, seed: int, start: int):
+    # out[k] = the uniform draw at counter start + k
+    bits = _raw(seed, start, len(out))
+    bits >>= _U64(11)
+    out[...] = bits
+    out += 1.0
+    out *= 2.0**-53
+
+
 def uniform(seed: int, count: int, start: int = 0) -> np.ndarray:
     """`count` doubles in (0, 1], from counters start..start+count-1."""
-    bits = _raw(seed, start, count)
-    return ((bits >> _U64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+    out = np.empty(count)
+    _uniform_into(out, seed, start)
+    return out
 
 
 def normal(seed: int, count: int, stddev: float = 1.0) -> np.ndarray:
-    """`count` zero-mean Gaussians with the given standard deviation."""
-    u1 = uniform(seed, count, start=0)
-    u2 = uniform(seed, count, start=count)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    return stddev * radius * np.cos(2.0 * np.pi * u2)
+    """`count` zero-mean Gaussians with the given standard deviation.
+
+    Bitwise equal to stddev * sqrt(-2 log u1) * cos(2 pi u2) over whole
+    arrays u1 = uniform(seed, count), u2 = uniform(seed, count, count).
+    """
+    out = np.empty(count)
+    work = np.empty(min(WORK_CHUNK, count))
+    for i in range(0, count, WORK_CHUNK):
+        radius = out[i : i + WORK_CHUNK]
+        angle = work[: len(radius)]
+        _uniform_into(radius, seed, i)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        radius *= stddev
+        _uniform_into(angle, seed, count + i)
+        angle *= 2.0 * np.pi
+        np.cos(angle, out=angle)
+        radius *= angle
+    return out
 
 
 def permutation(seed: int, n: int) -> np.ndarray:

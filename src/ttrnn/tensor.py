@@ -1,9 +1,11 @@
-"""Dense tensor value type and the stable logistic.
+"""Dense tensor value type, the stable logistic and the work-buffer size.
 
 A DenseTensor is an immutable row-major float64 array with positive
 dims, checked finite on construction.  The numeric work runs on the
 underlying numpy arrays in autodiff and ttcore; this module adds only
-sigmoid_array, the overflow-free logistic that autodiff's sigmoid uses.
+sigmoid_array, the overflow-free logistic that autodiff's sigmoid uses,
+and WORK_CHUNK, the length of the scratch buffers through which
+rng.normal and training.adam_step stream arrays of any size.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 from .errors import ShapeMismatch
 
 Shape = tuple  # ordered dims, each >= 1
+
+WORK_CHUNK = 16_384  # float64 entries (128 KiB) per streaming work buffer
 
 
 def check_shape(dims: Iterable[int]) -> Shape:

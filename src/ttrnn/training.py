@@ -38,8 +38,8 @@ from .cells import CellSpec, CellWeights, init_weights, run_sequence, weight_tem
 from .errors import ClassTooSmall, CorpusMismatch, EmptyTestSet, NonFiniteTraining, ShapeMismatch
 from .metrics import MetricsReport, evaluate as evaluate_metrics
 from .modelio import ModelBundle
-from .tensor import _wrap
-from .textpipe import EMOTIONS, SENTIMENTS, EncodedExample, build_vocab, encode, tokenize
+from .tensor import WORK_CHUNK, _wrap
+from .textpipe import EMOTIONS, PAD_ID, SENTIMENTS, EncodedExample, build_vocab, encode, tokenize
 from .ttcore import choose_factorization, uniform_ranks
 
 _EVAL_BATCH = 64  # fixed so stored metrics reproduce regardless of train batch size
@@ -169,7 +169,17 @@ def adam_step(
 
     The state maps variable identity to its running first and second
     moments, so pass the same variable objects (and the incremented t)
-    on every call.
+    on every call.  Variables whose grad is None are skipped and keep
+    their moments.
+
+    No temporary grows with the parameters.  The moments are updated in
+    place.  Each new value goes into one fresh array, because callers
+    (train's best snapshot) may still hold the old one; that array's
+    chunk holds the step while it is formed, next to one work buffer of
+    min(WORK_CHUNK, largest parameter) floats.  A parameter larger than
+    WORK_CHUNK is streamed chunk by chunk.  Results are bitwise those of
+    the whole-array expressions m = b1 m + (1 - b1) g,
+    s = b2 s + (1 - b2) g g and value - lr (m / c1) / (sqrt(s / c2) + eps).
     """
     if t < 1:
         raise ShapeMismatch("adam step index t starts at 1")
@@ -177,15 +187,42 @@ def adam_step(
         state = {}
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for v in variables:
-        g = v.grad
-        if g is None:
-            continue
-        m, s = state.get(id(v), (0.0, 0.0))
-        m = beta1 * m + (1.0 - beta1) * g
-        s = beta2 * s + (1.0 - beta2) * g * g
-        state[id(v)] = (m, s)
-        v.value = _wrap(v.value.array - lr * (m / c1) / (np.sqrt(s / c2) + eps))
+    live = [v for v in variables if v.grad is not None]
+    if not live:
+        return state
+    # 0-d arrays: the same float64 operands, but cheaper per ufunc call than floats
+    beta1, b1, beta2, b2, c1, c2, lr, eps = (
+        np.array(x, dtype=np.float64) for x in (beta1, 1.0 - beta1, beta2, 1.0 - beta2, c1, c2, lr, eps)
+    )
+    work = np.empty(min(WORK_CHUNK, max(v.grad.size for v in live)))
+    for v in live:
+        shape = v.value.shape
+        if id(v) not in state:
+            state[id(v)] = (np.zeros(shape), np.zeros(shape))
+        new = np.empty(shape)
+        arrays = (v.grad, *state[id(v)], v.value.array, new)
+        if new.size <= WORK_CHUNK:  # whole arrays: no per-chunk views for small parameters
+            chunks = [arrays]
+        else:
+            flat = [a.reshape(-1) for a in arrays]
+            chunks = [[a[i : i + WORK_CHUNK] for a in flat] for i in range(0, new.size, WORK_CHUNK)]
+        for g, m, s, old, out in chunks:
+            root = work[: out.size].reshape(out.shape)
+            np.multiply(g, b1, out)
+            m *= beta1
+            m += out
+            np.multiply(g, b2, out)
+            out *= g
+            s *= beta2
+            s += out
+            np.divide(m, c1, out)
+            out *= lr
+            np.divide(s, c2, root)
+            np.sqrt(root, root)
+            root += eps
+            out /= root
+            np.subtract(old, out, out)
+        v.value = _wrap(new)
     return state
 
 
@@ -270,7 +307,7 @@ def param_counts(spec: CellSpec) -> dict:
 
 def _batch_arrays(encoded):
     ids = np.array([e.token_ids for e in encoded], dtype=np.int64)
-    mask = np.array([e.mask for e in encoded], dtype=np.float64)
+    mask = (ids != PAD_ID).astype(np.float64)
     labels = np.array([e.class_id for e in encoded], dtype=np.int64)
     return ids, mask, labels
 
@@ -461,7 +498,7 @@ def train(
     step_index = 0
     best_macro = -1.0
     best_epoch = 0
-    best_snapshot = {n: v.value for n, v in weights.values.items()}
+    best_snapshot = None  # epoch 1 always replaces it: its macro-F1 is >= 0 > best_macro
     patience_ref = -math.inf
     flat_epochs = 0
     stopped_epoch = config.epochs_max
@@ -495,6 +532,7 @@ def train(
                     sgd_step(params, config.learning_rate)
             ad.zero_grads(params)
             loss_sum += batch_loss * len(batch)
+        tape = None  # validation needs none of the last batch's forward buffers
 
         with _finite(epoch, "validation"):
             val_report = evaluate_model(spec, weights, data.val)

@@ -225,3 +225,39 @@ def test_zero_grads_and_add_grad_shape_guard():
     with pytest.raises(ShapeMismatch):
         a.add_grad(np.ones((2, 2)))
 
+
+def test_leaves_fed_by_one_add_never_share_a_grad():
+    for shape in ((), (3,)):
+        a, b = _var(np.full(shape, 2.0)), _var(np.full(shape, -1.0))
+        tape = ad.Tape()
+        total = ad.add(tape, a, b)
+        ad.backward(tape, total if shape == () else ad.sum_all(tape, total))
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, np.ones(shape)) and np.array_equal(b.grad, np.ones(shape))
+
+
+def test_backward_keeps_only_a_fresh_owned_adjoint_uncopied():
+    fresh, view, frozen = [], [], []
+
+    def pull_fresh(g):
+        fresh.append(np.full(3, float(g)))
+        return fresh[-1]
+
+    def pull_view(g):
+        view.append(np.full(6, float(g)))
+        return view[-1][:3]
+
+    def pull_frozen(g):
+        frozen.append(np.full(3, float(g)))
+        frozen[-1].flags.writeable = False
+        return frozen[-1]
+
+    leaves = [_var(np.zeros(3)) for _ in range(3)]
+    tape = ad.Tape()
+    loss = tape.emit(tensor(0.0), list(zip(leaves, (pull_fresh, pull_view, pull_frozen))))
+    ad.backward(tape, loss)
+    assert leaves[0].grad is fresh[0]
+    assert not np.shares_memory(leaves[1].grad, view[0])
+    assert not np.shares_memory(leaves[2].grad, frozen[0])
+    assert leaves[2].grad.flags.writeable

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from ttrnn import rng
+from ttrnn.tensor import WORK_CHUNK
 
 
 def test_uniform_open_closed_interval():
@@ -33,6 +37,26 @@ def test_normal_stddev_scales():
     base = rng.normal(21, 1000)
     scaled = rng.normal(21, 1000, stddev=2.5)
     assert np.allclose(scaled, 2.5 * base)
+
+
+@pytest.mark.parametrize("count", [1, WORK_CHUNK - 1, WORK_CHUNK + 1, 3 * WORK_CHUNK + 7])
+def test_normal_is_bitwise_the_whole_array_box_muller(count):
+    for seed, stddev in ((0, 1.0), (2**64 - 1, 0.37)):
+        u1 = rng.uniform(seed, count, start=0)
+        u2 = rng.uniform(seed, count, start=count)
+        expected = stddev * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        assert rng.normal(seed, count, stddev).tobytes() == expected.tobytes()
+
+
+def test_normal_allocates_only_its_output():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rng.normal(3, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 8 * 1_000_000 + 2**20
 
 
 def test_split_changes_stream_and_is_stable():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from ttrnn.autodiff import Variable
 from ttrnn import training
 from ttrnn.errors import ClassTooSmall, CorpusMismatch, EmptyTestSet, NonFiniteTraining, ShapeMismatch
-from ttrnn.tensor import tensor
+from ttrnn.tensor import WORK_CHUNK, tensor
 from ttrnn.textpipe import CleanExample
 from ttrnn.training import (
     TrainConfig,
@@ -143,6 +144,60 @@ def test_adam_state_continuity():
     second = float(v.value.array[0])
     assert first == pytest.approx(0.9, abs=1e-6)
     assert second < first  # still descending on a constant gradient
+
+
+def test_adam_step_is_bitwise_the_whole_array_update():
+    # one parameter larger than the work buffers and not a multiple of them,
+    # one smaller, and one whose gradient is missing at step 3
+    shapes = [(2 * WORK_CHUNK + 123,), (3, 5), (7, 11)]
+    draws = np.random.default_rng(0)
+    variables = [Variable(tensor(draws.standard_normal(s))) for s in shapes]
+    expected = [v.value.array.copy() for v in variables]
+    moments = [(0.0, 0.0)] * len(shapes)
+    state = None
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for k, v in enumerate(variables):
+            v.zero_grad()
+            if (k, t) == (2, 3):
+                continue
+            g = draws.standard_normal(shapes[k]) * 10.0 ** draws.integers(-6, 2)
+            v.add_grad(g)
+            m, s = moments[k]
+            m = b1 * m + (1.0 - b1) * g
+            s = b2 * s + (1.0 - b2) * g * g
+            moments[k] = (m, s)
+            expected[k] = expected[k] - lr * (m / c1) / (np.sqrt(s / c2) + eps)
+        old = [(v.value.array, v.value.array.tobytes()) for v in variables]
+        state = adam_step(variables, lr, t=t, state=state)
+        for k, v in enumerate(variables):
+            assert v.value.array.tobytes() == expected[k].tobytes(), (t, k)
+            assert old[k][0].tobytes() == old[k][1]  # a held old value is never written to
+        if t == 3:
+            assert variables[2].value.array is old[2][0]
+
+
+def test_adam_step_allocates_only_the_new_value_after_the_first_step():
+    n = 1_000_000
+    v = Variable(tensor(np.linspace(-1.0, 1.0, n)))
+    v.add_grad(np.linspace(0.5, -0.5, n))
+    state = adam_step([v], 1e-3, t=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adam_step([v], 1e-3, t=2, state=state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 8 * n + 2**20
+
+
+def test_batch_mask_is_the_stack_of_example_masks(tiny_corpus):
+    data = prepare_dataset(tiny_corpus, TrainConfig(max_len=12, seed=3))
+    _, mask, _ = training._batch_arrays(data.train)
+    assert mask.dtype == np.float64
+    assert np.array_equal(mask, np.array([e.mask for e in data.train]))
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
