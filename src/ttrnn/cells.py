@@ -37,7 +37,7 @@ from . import recurrence, rng
 from .autodiff import Tape, Variable
 from .errors import EmptySequence, ShapeMismatch
 from .tensor import _wrap
-from .ttcore import ModeFactorization, check_ranks, random_tt
+from .ttcore import ModeFactorization, check_ranks, core_shapes, random_tt
 
 # kind -> (recurrence family, gates); a t_ kind is its dense twin fed by TT cores
 _KINDS = {
@@ -158,17 +158,10 @@ def weight_templates(spec: CellSpec):
     """Ordered (name, shape) pairs covering every parameter of the cell."""
     e, h, c, v = spec.embed_dim, spec.hidden_dim, spec.num_classes, spec.vocab_size
     out = [("embedding", (v, e))]
-    facto = spec.facto
     for gate in spec.gates:
         if spec.tensorized:
-            for k in range(facto.order):
-                shape = (
-                    facto.out_modes[k],
-                    facto.in_modes[k],
-                    spec.tt_ranks[k],
-                    spec.tt_ranks[k + 1],
-                )
-                out.append(("%s.core%d" % (_gate_name("w", gate), k), shape))
+            shapes = core_shapes(spec.facto, spec.tt_ranks)
+            out += [("%s.core%d" % (_gate_name("w", gate), k), s) for k, s in enumerate(shapes)]
         else:
             out.append((_gate_name("w", gate), (h, e)))
         feedback = c if spec.family == "jordan" else h
@@ -271,18 +264,18 @@ def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
     return ad.softmax(tape, logits)
 
 
-def _recurrence(tape, spec, weights, xs, lengths, batch, state=None, keep=None) -> dict:
+def _recurrence(tape, spec, weights, xs, lengths, batch, state=None) -> dict:
     """The whole recurrence over xs as one tape record; returns the final state.
 
     xs holds the real tokens packed time-major ((Σ lengths, E), or (E,)
     for one step of one row), lengths is each row's number of steps ((B,);
-    (1,) when batch is None), state None means zeros.  Returns {field:
-    Variable} for the CellState fields in `keep` (default all); the op
-    emits them side by side in one Variable, split by `ad.columns` when
-    there are several.  TT kinds first rebuild each gate's dense W with
-    `ad.tt_weight`.
+    (1,) when batch is None), state None means zeros.  TT kinds first
+    rebuild each gate's dense W with `ad.tt_weight`.  The record reads its
+    inputs in recurrence.run's adjoint order and emits every state part
+    side by side in one Variable; the returned {field: Variable} covers
+    them all, split by `ad.columns` when there are several.
     """
-    gates, n = spec.gates, spec.hidden_dim
+    gates = spec.gates
     if spec.tensorized:
         ws = [ad.tt_weight(tape, weights.tt_cores(g), spec.facto) for g in gates]
     else:
@@ -291,53 +284,32 @@ def _recurrence(tape, spec, weights, xs, lengths, batch, state=None, keep=None) 
     bs = [weights[_gate_name("b", g)] if spec.has_bias(g) else None for g in gates]
     head = [weights["head_w"], weights["head_b"]] if spec.family == "jordan" else []
     parts = _state_parts(spec)
-    keep = [name for name, _ in parts] if keep is None else list(keep)
     rows = len(lengths)
     if state is None:
         given = []
-        state0 = tuple(np.zeros((rows, width)) for _, width in parts)
+        state0 = [np.zeros((rows, width)) for _, width in parts]
     else:
         given = [getattr(state, name) for name, _ in parts]
-        state0 = tuple(v.value.array.reshape(rows, -1) for v in given)
+        state0 = [v.value.array.reshape(rows, -1) for v in given]
 
+    def arrays(variables):
+        return [None if v is None else v.value.array for v in variables]
+
+    x = xs.value.array.reshape(-1, spec.embed_dim)
     final, pull = recurrence.run(
-        spec.family,
-        xs.value.array.reshape(-1, spec.embed_dim),
-        lengths,
-        np.concatenate([v.value.array for v in ws]),
-        np.concatenate([v.value.array for v in us]),
-        np.concatenate([np.zeros(n) if v is None else v.value.array for v in bs]),
-        state0,
-        tuple(v.value.array for v in head),
+        spec.family, x, lengths, arrays(ws), arrays(us), arrays(bs), state0, arrays(head)
     )
-    kept = [(i, name, width) for i, (name, width) in enumerate(parts) if name in keep]
-    packed = np.concatenate([final[i] for i, _, _ in kept], axis=1)
-
-    @ad.shared_pull
-    def solve(g):
-        d_final, g, start = [np.zeros_like(a) for a in final], g.reshape(rows, -1), 0
-        for i, _, width in kept:
-            d_final[i], start = g[:, start : start + width], start + width
-        return pull(tuple(d_final))
-
-    def rows_of(key, i):
-        return lambda g: solve(g)[key][i * n : (i + 1) * n]
-
-    pulls = [(xs, lambda g: solve(g)["x"].reshape(xs.value.shape))]
-    for key, variables in (("w", ws), ("u", us), ("b", bs)):
-        pulls += [(v, rows_of(key, i)) for i, v in enumerate(variables) if v is not None]
-    pulls += [(v, lambda g, i=i: solve(g)["head"][i]) for i, v in enumerate(head)]
-    pulls += [
-        (v, lambda g, i=i, v=v: solve(g)["state"][i].reshape(v.value.shape))
-        for i, v in enumerate(given)
-    ]
-    out = tape.emit(_wrap(packed if batch is not None else packed.reshape(-1)), pulls)
-    if len(kept) == 1:
-        return {kept[0][1]: out}
-    result, start = {}, 0
-    for _, name, width in kept:
-        result[name], start = ad.columns(tape, out, start, start + width), start + width
-    return result
+    ends = np.cumsum([width for _, width in parts])
+    solve = ad.shared_pull(lambda g: pull(np.split(g.reshape(rows, -1), ends[:-1], axis=1)))
+    inputs = [xs, *ws, *us, *(b for b in bs if b is not None), *head, *given]
+    packed = np.concatenate(final, axis=1)
+    out = tape.emit(
+        _wrap(packed if batch is not None else packed.reshape(-1)),
+        [(v, lambda g, i=i, v=v: solve(g)[i].reshape(v.value.shape)) for i, v in enumerate(inputs)],
+    )
+    if len(parts) == 1:
+        return {parts[0][0]: out}
+    return {name: ad.columns(tape, out, end - w, end) for (name, w), end in zip(parts, ends)}
 
 
 def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: CellState):
@@ -386,18 +358,18 @@ def run_sequence(
                 "mask shape %r does not match ids %r" % (mask.shape, ids.shape)
             )
         lengths = (mask == 1.0).sum(axis=-1).reshape(-1)
-        if not np.array_equal(mask.reshape(len(lengths), -1), np.arange(steps) < lengths[:, None]):
-            raise ShapeMismatch("mask must be 1 on a prefix of each row and 0 after it")
-        if lengths.min() == 0:
-            raise EmptySequence("sequence with no unmasked tokens")
-
     running = np.arange(steps) < lengths[:, None]
+    if mask is not None and not np.array_equal(mask.reshape(running.shape), running):
+        raise ShapeMismatch("mask must be 1 on a prefix of each row and 0 after it")
+    if lengths.min() == 0:
+        raise EmptySequence("sequence with no unmasked tokens")
+
     xs = ad.embed(tape, weights["embedding"], rows.T[running.T])  # (Σ lengths, E), time-major
     batch = ids.shape[0] if ids.ndim == 2 else None
+    state = _recurrence(tape, spec, weights, xs, lengths, batch)
     if spec.family == "jordan":  # its head ran inside the recurrence: y is the probabilities
-        return _recurrence(tape, spec, weights, xs, lengths, batch, keep=("y",))["y"]
-    h = _recurrence(tape, spec, weights, xs, lengths, batch, keep=("h",))["h"]
-    return head_probs(tape, weights, h)
+        return state["y"]
+    return head_probs(tape, weights, state["h"])
 
 
 def classify(spec: CellSpec, weights: CellWeights, token_ids, mask=None):

@@ -14,14 +14,15 @@ order.  It runs one family's recurrence over x without a tape:
   forward pass and their adjoint in the backward pass.
 
 Every per-step buffer is packed the same way, one row per real token.
-The backward walks the steps in reverse, collects every step's
-pre-activation adjoints into one packed (Σ lengths, G*H) array, and forms
-the W, U and b gradients as one GEMM (or sum) each over it, plus one
-packed input adjoint.
+The backward walks the steps in reverse, writes every step's pre-activation
+adjoints over the packed (Σ lengths, G*H) input pre-activations, which the
+forward no longer needs, and forms the W, U and b gradients as one GEMM
+(or sum) each over them, plus one packed input adjoint.
 
 Families and their state: elman (h), jordan (h, y; the class head runs
-inside the recurrence and y feeds back), gru (h), lstm (h, c).  Gates are
-stacked in CellSpec order: gru r, z, d; lstm k, f, o, g.
+inside the recurrence and y feeds back), gru (h), lstm (h, c).  Gates come
+in CellSpec order (gru r, z, d; lstm k, f, o, g); only this module stacks
+them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _elman(xg, u, state, steps):
 
     def grads(d_final):
         (dh,) = d_final
-        da = np.empty_like(hs)
+        da = xg
         for p, r in reversed(steps):
             da[p] = a = dh[r] * (1.0 - hs[p] * hs[p])
             dh[r] = a @ u
@@ -64,7 +65,7 @@ def _jordan(xg, u, state, steps, head_w, head_b):
 
     def grads(d_final):
         dh, dy = d_final
-        da = np.empty_like(hs)
+        da = xg
         dlogits = np.empty_like(ys)
         for p, r in reversed(steps):
             q, dyn = ys[p], dy[r]
@@ -84,19 +85,17 @@ def _gru(xg, u, state, steps):
     u_rz, u_d = u[: 2 * n], u[2 * n :]
     prev = np.empty((len(xg), n))
     rz = np.empty((len(xg), 2 * n))
-    rh = np.empty_like(prev)
     ds = np.empty_like(prev)
     for p, r in steps:
         prev[p] = hp = h[r]
         rz[p] = s = sigmoid_array(xg[p, : 2 * n] + hp @ u_rz.T)
         z = s[:, n:]
-        rh[p] = q = s[:, :n] * hp
-        ds[p] = d = np.tanh(xg[p, 2 * n :] + q @ u_d.T)
+        ds[p] = d = np.tanh(xg[p, 2 * n :] + (s[:, :n] * hp) @ u_d.T)
         h[r] = (1.0 - z) * hp + z * d
 
     def grads(d_final):
         (dh,) = d_final
-        da = np.empty(xg.shape)
+        da = xg
         for p, r in reversed(steps):
             dn, s, d, hp, a = dh[r], rz[p], ds[p], prev[p], da[p]
             z = s[:, n:]
@@ -106,7 +105,7 @@ def _gru(xg, u, state, steps):
             a[:, n : 2 * n] = dn * (d - hp)
             a[:, : 2 * n] *= s * (1.0 - s)
             dh[r] = dn * (1.0 - z) + drh * s[:, :n] + a[:, : 2 * n] @ u_rz
-        du = np.concatenate((da[:, : 2 * n].T @ prev, da[:, 2 * n :].T @ rh))
+        du = np.concatenate((da[:, : 2 * n].T @ prev, da[:, 2 * n :].T @ (rz[:, :n] * prev)))
         return da, du, (dh,), ()
 
     return (h,), grads
@@ -131,7 +130,7 @@ def _lstm(xg, u, state, steps):
 
     def grads(d_final):
         dh, dc = d_final
-        da = np.empty(xg.shape)
+        da = xg
         for p, r in reversed(steps):
             dhn, s, g, tc, a = dh[r], kfo[p], gs[p], tcs[p], da[p]
             k, f, o = s[:, :n], s[:, n : 2 * n], s[:, 2 * n :]
@@ -151,33 +150,37 @@ def _lstm(xg, u, state, steps):
 _RUN = {"elman": _elman, "jordan": _jordan, "gru": _gru, "lstm": _lstm}
 
 
-def run(family: str, x, lengths, w, u, b, state, head=()):
+def run(family: str, x, lengths, ws, us, bs, state, head=()):
     """Run one family's recurrence over packed x; return (final state, pull).
 
     lengths is (B,), each row's number of steps, all >= 1; x is
     (Σ lengths, E), the real tokens packed time-major (step t's block is
-    the rows with lengths > t, in batch order); w (G*H, E), u (G*H, K) and
-    b (G*H,) stack the gates; state is the family's tuple of (B, width)
-    arrays; head is (head_w, head_b) for jordan, else empty.  pull maps
-    the final state's adjoints (a tuple like state) to a dict of adjoints
-    keyed "x" (packed like x), "w", "u", "b", "state" and "head".
+    the rows with lengths > t, in batch order); ws, us and bs list each
+    gate's W (H, E), U (H, K) and bias (H,) or None; state is the family's
+    list of (B, width) arrays; head is (head_w, head_b) for jordan, else
+    empty.  pull maps the final state's adjoints (a list like state) to
+    the adjoints of x (packed like x), each W, each U, each bias that is
+    not None, head and state, as one list in that order.
     """
+    w, u = np.concatenate(ws), np.concatenate(us)
     xg = x @ w.T
-    xg += b
+    xg += np.concatenate([np.zeros(len(v)) if b is None else b for v, b in zip(ws, bs)])
     live = [np.flatnonzero(lengths > t) for t in range(lengths.max())]
     ends = np.cumsum([len(r) for r in live])
     steps = [(slice(end - len(r), end), r) for end, r in zip(ends, live)]
     final, grads = _RUN[family](xg, u, state, steps, *head)
 
     def pull(d_final):
-        da, du, d_state, d_head = grads(tuple(np.array(d) for d in d_final))
-        return {
-            "x": da @ w,
-            "w": da.T @ x,
-            "u": du,
-            "b": da.sum(axis=0),
-            "state": d_state,
-            "head": d_head,
-        }
+        da, du, d_state, d_head = grads([np.array(d) for d in d_final])
+        per_gate = (len(ws), len(ws[0]))  # unstacks the gates' rows as views
+        db = da.sum(axis=0).reshape(per_gate)
+        return [
+            da @ w,
+            *(da.T @ x).reshape(per_gate + (-1,)),
+            *du.reshape(per_gate + (-1,)),
+            *(d for d, b in zip(db, bs) if b is not None),
+            *d_head,
+            *d_state,
+        ]
 
     return final, pull

@@ -22,7 +22,6 @@ this package runs, that is faster than contracting the cores row by row.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +81,12 @@ def uniform_ranks(rank: int, order: int) -> tuple:
     return (1,) + (rank,) * (order - 1) + (1,)
 
 
+def core_shapes(facto: ModeFactorization, ranks) -> list:
+    """Shape (m_k, n_k, r_k, r_{k+1}) of each core k of a TT matrix."""
+    modes = zip(facto.out_modes, facto.in_modes)
+    return [(m, n, ranks[k], ranks[k + 1]) for k, (m, n) in enumerate(modes)]
+
+
 @dataclass(frozen=True)
 class TTMatrix:
     facto: ModeFactorization
@@ -95,13 +100,7 @@ class TTMatrix:
             raise ShapeMismatch(
                 "expected %d cores, got %d" % (self.facto.order, len(self.cores))
             )
-        for k, core in enumerate(self.cores):
-            want = (
-                self.facto.out_modes[k],
-                self.facto.in_modes[k],
-                self.ranks[k],
-                self.ranks[k + 1],
-            )
+        for k, (core, want) in enumerate(zip(self.cores, core_shapes(self.facto, self.ranks))):
             if core.shape != want:
                 raise ShapeMismatch(
                     "core %d has shape %r, expected %r" % (k, core.shape, want)
@@ -162,8 +161,8 @@ def choose_factorization(rows: int, cols: int, order: int) -> ModeFactorization:
     Factors are returned largest-first.  Balance means the smallest
     max/min factor ratio; ties prefer the smaller largest factor, then the
     lexicographically smallest tuple.  Padding with 1s makes every order
-    feasible, but modes of size 1 carry no structure, so they trigger a
-    warning.
+    feasible, but modes of size 1 carry no structure, so they are noted as
+    a warning on the "ttrnn" logger.
     """
     if rows < 1 or cols < 1 or order < 1:
         raise ShapeMismatch("rows, cols and order must be >= 1")
@@ -171,10 +170,11 @@ def choose_factorization(rows: int, cols: int, order: int) -> ModeFactorization:
     in_modes = _most_balanced(cols, order)
     facto = ModeFactorization(out_modes, in_modes)
     if order > 1 and (1 in out_modes or 1 in in_modes):
-        warnings.warn(
-            "factorization of (%d, %d) into %d modes has degenerate size-1 modes: "
-            "m=%r n=%r" % (rows, cols, order, out_modes, in_modes),
-            stacklevel=2,
+        import logging  # loaded only for the notice: the library imports it nowhere else
+
+        logging.getLogger("ttrnn").warning(
+            "factorization of (%d, %d) into %d modes has degenerate size-1 modes: m=%r n=%r",
+            rows, cols, order, out_modes, in_modes,
         )
     return facto
 
@@ -251,12 +251,10 @@ def tt_svd(
     raw_cores.append(c.reshape(ranks[-1], merged[d - 1], 1))
     ranks.append(1)
 
-    cores = []
-    for k, raw in enumerate(raw_cores):
-        core = raw.reshape(
-            ranks[k], facto.out_modes[k], facto.in_modes[k], ranks[k + 1]
-        ).transpose(1, 2, 0, 3)
-        cores.append(DenseTensor(core))
+    cores = [
+        DenseTensor(raw.reshape(a, m, n, b).transpose(1, 2, 0, 3))
+        for raw, (m, n, a, b) in zip(raw_cores, core_shapes(facto, ranks))
+    ]
     return TTMatrix(facto, tuple(ranks), tuple(cores))
 
 
@@ -414,8 +412,7 @@ def random_tt(facto: ModeFactorization, ranks, seed: int) -> TTMatrix:
     entry_var = 2.0 / (facto.rows + facto.cols)
     stddev = (entry_var / paths) ** (1.0 / (2.0 * d))
     cores = []
-    for k in range(d):
-        shape = (facto.out_modes[k], facto.in_modes[k], ranks[k], ranks[k + 1])
+    for k, shape in enumerate(core_shapes(facto, ranks)):
         n = int(np.prod(shape, dtype=np.int64))
         vals = rng.normal(rng.split(seed, "tt-core", k), n, stddev=stddev)
         cores.append(DenseTensor(vals.reshape(shape)))

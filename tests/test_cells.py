@@ -379,13 +379,15 @@ def _rel_close(got, want, rtol=1e-10):
     st.lists(st.integers(1, 6), min_size=1, max_size=4),
     st.integers(0, 2),
     st.integers(0, 2**31 - 1),
+    st.booleans(),
 )
-@example("gru", [4, 1, 3], 1, 0)  # rows ending early, a row of length 1, a padding column
-@example("t_lstm", [5, 2, 1], 2, 1)
-@example("jordan", [1, 3], 1, 2)
-@example("lstm", [1, 5, 3], 0, 3)  # rows not in length order
-def test_fused_recurrence_matches_the_per_step_tape(kind, lengths, padding, seed):
-    spec = _spec(kind)
+@example("gru", [4, 1, 3], 1, 0, True)  # rows ending early, a row of length 1, a padding column
+@example("t_lstm", [5, 2, 1], 2, 1, True)
+@example("jordan", [1, 3], 1, 2, True)
+@example("lstm", [1, 5, 3], 0, 3, True)  # rows not in length order
+@example("t_gru", [3, 2], 1, 4, False)  # no candidate bias: one gate's bias adjoint is skipped
+def test_fused_recurrence_matches_the_per_step_tape(kind, lengths, padding, seed, candidate_bias):
+    spec = _spec(kind, candidate_bias=candidate_bias)
     weights = init_weights(spec, seed=seed)
     gen = np.random.default_rng(seed)
     steps = max(lengths) + padding

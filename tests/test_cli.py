@@ -655,6 +655,36 @@ def test_compress_bad_eps_exits_2(big_matrix, tmp_path, eps):
     assert not out.exists()
 
 
+def _degenerate_factorization_argv(command, corpus_file, out_dir):
+    # 7 has no 3-mode factorization without size-1 modes
+    if command == "train":
+        return ["train", "--data", corpus_file, "--out", str(out_dir / "m.ttrnn"),
+                "--cell", "t-gru", "--hidden", "7", "--embed", "8", "--epochs", "1",
+                "--max-len", "12"]
+    matrix = out_dir / "w.npy"
+    np.save(matrix, np.random.default_rng(0).standard_normal((7, 8)))
+    return ["compress", "--matrix", str(matrix), "--out", str(out_dir / "w.tt")]
+
+
+@pytest.mark.parametrize("command", ["train", "compress"])
+def test_degenerate_factorization_notice_is_one_log_line(corpus_file, tmp_path, command):
+    (tmp_path / "info").mkdir()
+    (tmp_path / "quiet").mkdir()
+    info = run_cli(_degenerate_factorization_argv(command, corpus_file, tmp_path / "info"))
+    assert info.returncode == 0, info.stderr
+    warnings = [line for line in info.stderr.splitlines() if line.startswith("WARNING")]
+    assert warnings == [
+        "WARNING factorization of (7, 8) into 3 modes has degenerate size-1 modes: "
+        "m=(7, 1, 1) n=(2, 2, 2)"
+    ], info.stderr
+    assert "UserWarning" not in info.stderr
+    quiet = run_cli(
+        _degenerate_factorization_argv(command, corpus_file, tmp_path / "quiet"),
+        env_extra={"TTRNN_LOG": "quiet"},
+    )
+    assert quiet.returncode == 0 and quiet.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # malformed input files
 

@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -57,13 +58,15 @@ def test_choose_factorization_pinned_values():
     assert f.in_modes == (4, 4, 4)
 
 
-def test_choose_factorization_prime_warns_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def test_choose_factorization_prime_warns_once(caplog, monkeypatch):
+    monkeypatch.setattr(logging.getLogger("ttrnn"), "propagate", True)  # the CLI turns it off
+    caplog.set_level(logging.WARNING, logger="ttrnn")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the notice is a log record, not a Python warning
         f = choose_factorization(7, 8, 2)
     assert f.out_modes == (7, 1)
     assert f.in_modes == (4, 2)
-    assert len(caught) == 1
+    assert [(r.name, r.levelname) for r in caplog.records] == [("ttrnn", "WARNING")]
 
 
 def test_choose_factorization_order_one():
