@@ -14,10 +14,10 @@ Values may be single vectors or batches with a leading batch axis; every
 op handles both so sequence models can run whole minibatches through one
 tape.  The cell runner puts only a few records on a tape per batch: the
 embedding lookup, `tt_weight` per tensor-train gate, one fused record
-for the whole recurrence (cells and recurrence modules), the head and the
-loss.  The per-step ops (sigmoid, tanh, add, hadamard, one_minus, blend,
-tt_linear) remain as the reference the fused recurrence is tested
-against.
+for the whole recurrence per state part read (cells and recurrence
+modules), the head and the loss.  The per-step ops (sigmoid, tanh, add,
+hadamard, one_minus, blend, tt_linear) remain as the reference the fused
+recurrence is tested against.
 """
 
 from __future__ import annotations
@@ -268,18 +268,6 @@ def embed(tape: Tape, table: Variable, token_ids) -> Variable:
         return dt
 
     return tape.emit(out, [(table, pull)])
-
-
-def columns(tape: Tape, a: Variable, start: int, stop: int) -> Variable:
-    """a[..., start:stop], e.g. one part of a packed recurrent state."""
-    out = _wrap(np.ascontiguousarray(a.value.array[..., start:stop]))
-
-    def pull(g):
-        d = np.zeros(a.value.shape)
-        d[..., start:stop] = g
-        return d
-
-    return tape.emit(out, [(a, pull)])
 
 
 def blend(tape: Tape, mask, a: Variable, b: Variable) -> Variable:

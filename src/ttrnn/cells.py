@@ -13,12 +13,13 @@ accept single vectors or batches.  run_sequence puts a handful of records
 on the tape per batch: one embedding lookup of the real tokens, for TT
 kinds one `tt_weight` per gate that rebuilds the dense W from the cores,
 one record for the whole recurrence (the fused forward and analytic BPTT
-of the recurrence module), and the head once from the final state
-(jordan, which feeds its output back, runs its head inside the
-recurrence).  An optional mask, 1 on a prefix of each row and 0 after it,
-gives each row's length.  Only the real tokens are embedded and run,
-packed time-major as the recurrence module describes, so padding costs
-nothing.  step is a one-step run of the same record, so chained steps
+of the recurrence module) holding the one final state part it reads, h
+(jordan: y), and the head once from h (jordan, which feeds its output
+back, runs its head inside the recurrence).  An optional mask, 1 on a
+prefix of each row and 0 after it, gives each row's length.  Only the
+real tokens are embedded and run, packed time-major as the recurrence
+module describes, so padding costs nothing.  step is a one-step run of
+the same recurrence with one record per state part, so chained steps
 stay differentiable.
 
 Gate naming: gru uses r (reset), z (update), d (candidate); lstm uses
@@ -264,16 +265,17 @@ def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
     return ad.softmax(tape, logits)
 
 
-def _recurrence(tape, spec, weights, xs, lengths, batch, state=None) -> dict:
-    """The whole recurrence over xs as one tape record; returns the final state.
+def _recurrence(tape, spec, weights, xs, lengths, batch, state=None):
+    """Run the whole recurrence over xs once; part(name) emits one final state part.
 
     xs holds the real tokens packed time-major ((Σ lengths, E), or (E,)
     for one step of one row), lengths is each row's number of steps ((B,);
     (1,) when batch is None), state None means zeros.  TT kinds first
-    rebuild each gate's dense W with `ad.tt_weight`.  The record reads its
-    inputs in recurrence.run's adjoint order and emits every state part
-    side by side in one Variable; the returned {field: Variable} covers
-    them all, split by `ad.columns` when there are several.
+    rebuild each gate's dense W with `ad.tt_weight`.  Each part(name) call
+    emits one record holding that part (h, c or y) uncopied; it reads every
+    input in recurrence.run's adjoint order and pulls with None for the
+    other parts' adjoints.  BPTT is linear in them, so the records of
+    several parts add up to the joint gradient.
     """
     gates = spec.gates
     if spec.tensorized:
@@ -283,13 +285,13 @@ def _recurrence(tape, spec, weights, xs, lengths, batch, state=None) -> dict:
     us = [weights[_gate_name("u", g)] for g in gates]
     bs = [weights[_gate_name("b", g)] if spec.has_bias(g) else None for g in gates]
     head = [weights["head_w"], weights["head_b"]] if spec.family == "jordan" else []
-    parts = _state_parts(spec)
+    names = [name for name, _ in _state_parts(spec)]
     rows = len(lengths)
     if state is None:
         given = []
-        state0 = [np.zeros((rows, width)) for _, width in parts]
+        state0 = [np.zeros((rows, width)) for _, width in _state_parts(spec)]
     else:
-        given = [getattr(state, name) for name, _ in parts]
+        given = [getattr(state, name) for name in names]
         state0 = [v.value.array.reshape(rows, -1) for v in given]
 
     def arrays(variables):
@@ -299,17 +301,17 @@ def _recurrence(tape, spec, weights, xs, lengths, batch, state=None) -> dict:
     final, pull = recurrence.run(
         spec.family, x, lengths, arrays(ws), arrays(us), arrays(bs), state0, arrays(head)
     )
-    ends = np.cumsum([width for _, width in parts])
-    solve = ad.shared_pull(lambda g: pull(np.split(g.reshape(rows, -1), ends[:-1], axis=1)))
     inputs = [xs, *ws, *us, *(b for b in bs if b is not None), *head, *given]
-    packed = np.concatenate(final, axis=1)
-    out = tape.emit(
-        _wrap(packed if batch is not None else packed.reshape(-1)),
-        [(v, lambda g, i=i, v=v: solve(g)[i].reshape(v.value.shape)) for i, v in enumerate(inputs)],
-    )
-    if len(parts) == 1:
-        return {parts[0][0]: out}
-    return {name: ad.columns(tape, out, end - w, end) for (name, w), end in zip(parts, ends)}
+
+    def part(name):
+        value = final[names.index(name)]
+        solve = ad.shared_pull(lambda g: pull([g.reshape(rows, -1) if n == name else None for n in names]))
+        return tape.emit(
+            _wrap(value if batch is not None else value.reshape(-1)),
+            [(v, lambda g, k=k, v=v: solve(g)[k].reshape(v.value.shape)) for k, v in enumerate(inputs)],
+        )
+
+    return part
 
 
 def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: CellState):
@@ -320,7 +322,8 @@ def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: C
     """
     batch = x.value.shape[0] if x.value.array.ndim == 2 else None
     lengths = np.ones(1 if batch is None else batch, dtype=np.int64)
-    state = CellState(**_recurrence(tape, spec, weights, x, lengths, batch, state))
+    part = _recurrence(tape, spec, weights, x, lengths, batch, state)
+    state = CellState(**{name: part(name) for name, _ in _state_parts(spec)})
     return state, state.y if spec.family == "jordan" else head_probs(tape, weights, state.h)
 
 
@@ -366,10 +369,10 @@ def run_sequence(
 
     xs = ad.embed(tape, weights["embedding"], rows.T[running.T])  # (Σ lengths, E), time-major
     batch = ids.shape[0] if ids.ndim == 2 else None
-    state = _recurrence(tape, spec, weights, xs, lengths, batch)
+    part = _recurrence(tape, spec, weights, xs, lengths, batch)
     if spec.family == "jordan":  # its head ran inside the recurrence: y is the probabilities
-        return state["y"]
-    return head_probs(tape, weights, state["h"])
+        return part("y")
+    return head_probs(tape, weights, part("h"))
 
 
 def classify(spec: CellSpec, weights: CellWeights, token_ids, mask=None):

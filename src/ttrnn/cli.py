@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .cells import KINDS
-from .errors import ShapeMismatch, TtrnnError
+from .errors import TtrnnError
 from .metrics import MetricsReport
 from .modelio import load_matrix, load_model, save_model, save_ttmatrix
 from .textpipe import (
@@ -44,15 +44,7 @@ from .training import (
     resolve_task,
     train,
 )
-from .ttcore import (
-    ModeFactorization,
-    choose_factorization,
-    compression_ratio,
-    param_count,
-    reconstruct,
-    tt_svd,
-    uniform_ranks,
-)
+from .ttcore import compression_ratio, param_count, reconstruct, tt_options, tt_svd
 
 log = logging.getLogger("ttrnn")
 
@@ -239,20 +231,15 @@ def cmd_predict(args) -> int:
 def cmd_compress(args) -> int:
     w = load_matrix(args.matrix)
     rows, cols = w.shape
-    if args.modes is not None and args.in_modes is not None:
-        facto = ModeFactorization(args.modes, args.in_modes)
-    elif args.modes is None and args.in_modes is None:
-        facto = choose_factorization(rows, cols, 3)
+    facto, max_ranks = tt_options(
+        rows, cols, args.modes, args.in_modes, args.ranks, names=("--modes", "--in-modes")
+    )
+    if args.modes is None:  # tt_options took both mode lists or neither
         log.info(
             "auto factorization: out modes %s, in modes %s",
             list(facto.out_modes),
             list(facto.in_modes),
         )
-    else:
-        raise ShapeMismatch("give both --modes and --in-modes, or neither")
-    max_ranks = args.ranks
-    if max_ranks and len(max_ranks) == 1:
-        max_ranks = uniform_ranks(max_ranks[0], facto.order)
     tt = tt_svd(w, facto, max_ranks=max_ranks, eps=args.eps)
     save_ttmatrix(tt, args.out)
     log.info("wrote %s", args.out)
@@ -501,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    level, handlers, propagate = log.level, log.handlers[:], log.propagate
     _configure_logging()
     try:
         return args.func(args)
@@ -519,6 +507,9 @@ def main(argv=None) -> int:
     except Exception:
         log.exception("internal error")
         return 1
+    finally:  # an in-process caller gets the `ttrnn` logger back as it was
+        log.setLevel(level)
+        log.handlers[:], log.propagate = handlers, propagate
 
 
 if __name__ == "__main__":

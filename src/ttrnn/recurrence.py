@@ -158,9 +158,10 @@ def run(family: str, x, lengths, ws, us, bs, state, head=()):
     the rows with lengths > t, in batch order); ws, us and bs list each
     gate's W (H, E), U (H, K) and bias (H,) or None; state is the family's
     list of (B, width) arrays; head is (head_w, head_b) for jordan, else
-    empty.  pull maps the final state's adjoints (a list like state) to
-    the adjoints of x (packed like x), each W, each U, each bias that is
-    not None, head and state, as one list in that order.
+    empty.  pull maps the final state's adjoints (a list like state, None
+    standing for zeros) to the adjoints of x (packed like x), each W, each
+    U, each bias that is not None, head and state, as one list in that
+    order.
     """
     w, u = np.concatenate(ws), np.concatenate(us)
     xg = x @ w.T
@@ -171,7 +172,9 @@ def run(family: str, x, lengths, ws, us, bs, state, head=()):
     final, grads = _RUN[family](xg, u, state, steps, *head)
 
     def pull(d_final):
-        da, du, d_state, d_head = grads([np.array(d) for d in d_final])
+        da, du, d_state, d_head = grads(
+            [np.zeros_like(s) if d is None else np.array(d) for d, s in zip(d_final, final)]
+        )
         per_gate = (len(ws), len(ws[0]))  # unstacks the gates' rows as views
         db = da.sum(axis=0).reshape(per_gate)
         return [

@@ -40,7 +40,7 @@ from .metrics import MetricsReport, evaluate as evaluate_metrics
 from .modelio import ModelBundle
 from .tensor import WORK_CHUNK, _wrap
 from .textpipe import EMOTIONS, PAD_ID, SENTIMENTS, EncodedExample, build_vocab, encode, tokenize
-from .ttcore import choose_factorization, uniform_ranks
+from .ttcore import tt_options
 
 _EVAL_BATCH = 64  # fixed so stored metrics reproduce regardless of train batch size
 
@@ -275,21 +275,14 @@ def build_cell_spec(kind: str, vocab_size: int, config: TrainConfig, num_classes
     dims = (kind, vocab_size, config.embed_dim, config.hidden_dim, num_classes)
     if kind not in cells_mod.TENSORIZED:
         return CellSpec(*dims, candidate_bias=config.candidate_bias)
-    if config.tt_out_modes is None and config.tt_in_modes is None:
-        facto = choose_factorization(config.hidden_dim, config.embed_dim, 3)
-        out_modes, in_modes = facto.out_modes, facto.in_modes
-    elif config.tt_out_modes is None or config.tt_in_modes is None:
-        raise ShapeMismatch("give both tt output and input modes, or neither")
-    else:
-        out_modes, in_modes = tuple(config.tt_out_modes), tuple(config.tt_in_modes)
-    ranks = config.tt_ranks
-    if isinstance(ranks, int):
-        ranks = uniform_ranks(ranks, len(out_modes))
+    facto, ranks = tt_options(
+        config.hidden_dim, config.embed_dim, config.tt_out_modes, config.tt_in_modes, config.tt_ranks
+    )
     return CellSpec(
         *dims,
-        tt_out_modes=out_modes,
-        tt_in_modes=in_modes,
-        tt_ranks=tuple(ranks),
+        tt_out_modes=facto.out_modes,
+        tt_in_modes=facto.in_modes,
+        tt_ranks=ranks,
         candidate_bias=config.candidate_bias,
     )
 

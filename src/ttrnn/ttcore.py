@@ -76,11 +76,6 @@ def check_ranks(ranks, order: int) -> tuple:
     return ranks
 
 
-def uniform_ranks(rank: int, order: int) -> tuple:
-    """Rank vector (1, rank, ..., rank, 1) for a chain of `order` cores."""
-    return (1,) + (rank,) * (order - 1) + (1,)
-
-
 def core_shapes(facto: ModeFactorization, ranks) -> list:
     """Shape (m_k, n_k, r_k, r_{k+1}) of each core k of a TT matrix."""
     modes = zip(facto.out_modes, facto.in_modes)
@@ -177,6 +172,30 @@ def choose_factorization(rows: int, cols: int, order: int) -> ModeFactorization:
             rows, cols, order, out_modes, in_modes,
         )
     return facto
+
+
+def tt_options(
+    rows, cols, out_modes=None, in_modes=None, ranks=None, names=("output modes", "input modes")
+):
+    """(factorization, ranks) of a rows x cols TT matrix from optional settings.
+
+    Give both mode lists or neither; neither means
+    choose_factorization(rows, cols, 3), and the error for one of them
+    calls the two lists by `names`.  One interior rank, an int or a
+    1-tuple, becomes (1, rank, ..., rank, 1); a full rank vector or None
+    is returned as given.
+    """
+    if out_modes is None and in_modes is None:
+        facto = choose_factorization(rows, cols, 3)
+    elif out_modes is None or in_modes is None:
+        raise ShapeMismatch("give both %s and %s, or neither" % names)
+    else:
+        facto = ModeFactorization(out_modes, in_modes)
+    if isinstance(ranks, int):
+        ranks = (ranks,)
+    if ranks is not None and len(ranks) == 1:
+        ranks = (1,) + tuple(ranks) * (facto.order - 1) + (1,)
+    return facto, ranks
 
 
 # ---------------------------------------------------------------------------

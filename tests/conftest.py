@@ -1,3 +1,4 @@
+import logging
 import os
 import struct
 import subprocess
@@ -42,6 +43,16 @@ def run_cli(args, cwd=None, env_extra=None):
         cwd=cwd,
         env=env,
     )
+
+
+@pytest.fixture(autouse=True)
+def ttrnn_logger_left_as_found():
+    """Fail a test that leaves the `ttrnn` logger's level, handlers or propagate changed."""
+    log = logging.getLogger("ttrnn")
+    before = log.level, log.handlers[:], log.propagate
+    yield
+    after = log.level, log.handlers[:], log.propagate
+    assert after == before, "the ttrnn logger was left changed: %r -> %r" % (before, after)
 
 
 @pytest.fixture(scope="module")

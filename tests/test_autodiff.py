@@ -136,15 +136,6 @@ def test_tt_weight_core_gradients_match_the_contraction(modes, interior, rows, s
         assert np.max(np.abs(core.grad - g)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
 
 
-def test_columns_slices_and_pads_the_adjoint():
-    a = _var(rng.normal(19, 10).reshape(2, 5))
-    tape = ad.Tape()
-    part = ad.columns(tape, a, 1, 3)
-    assert np.array_equal(part.value.array, a.value.array[:, 1:3])
-    ad.backward(tape, ad.sum_all(tape, part))
-    assert np.array_equal(a.grad, np.array([[0, 1, 1, 0, 0]] * 2, dtype=float))
-
-
 def test_embed_scatter_gradient_accumulates_repeats():
     table = _var(rng.normal(13, 10).reshape(5, 2))
     ids = np.array([[1, 1, 4], [0, 2, 1]])

@@ -293,6 +293,9 @@ def test_runner_skips_trailing_padding_and_runs_embed_and_head_once(kind):
     ref = run_sequence(cut, spec, weights, ids[:, :3], mask=mask[:, :3]).value.array
     assert np.array_equal(out, ref)
     assert len(padded.records) == len(cut.records)
+    # embedding, each TT gate's W, one recurrence record for the one state part read, head
+    records = {"elman": 4, "jordan": 2, "lstm": 4, "gru": 4, "t_rnn": 5, "t_lstm": 8, "t_gru": 7}
+    assert len(padded.records) == records[kind]
     assert _records_reading(padded, weights["embedding"]) == 1
     # only the real tokens are embedded, never a padding position
     (embedded,) = [o for o, pulls in padded.records if pulls[0][0] is weights["embedding"]]

@@ -822,6 +822,25 @@ def test_train_out_of_memory_exits_2(small_corpus_file, tmp_path, monkeypatch, t
     assert not model.exists()
 
 
+@pytest.mark.parametrize("outcome,code", [("clean", 0), ("internal fault", 1), ("missing input", 2)])
+def test_main_gives_back_the_ttrnn_logger(tmp_path, monkeypatch, caplog, outcome, code):
+    """After an in-process cli.main under TTRNN_LOG=quiet, library notices log as before."""
+    from ttrnn.ttcore import choose_factorization
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a data error")
+
+    if outcome == "internal fault":
+        monkeypatch.setattr("ttrnn.cli.clean_example", broken)
+    raw = str(tmp_path / "absent.csv") if outcome == "missing input" else data_path("raw_golden.csv")
+    monkeypatch.setenv("TTRNN_LOG", "quiet")
+    got, err = _main_in_process(["clean", "--in", raw, "--out", str(tmp_path / "o.jsonl")])
+    assert got == code, err
+    caplog.clear()
+    choose_factorization(7, 8, 3)
+    assert [(r.name, r.levelname) for r in caplog.records] == [("ttrnn", "WARNING")]
+
+
 _EDGES = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0])
 
 

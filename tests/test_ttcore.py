@@ -58,8 +58,7 @@ def test_choose_factorization_pinned_values():
     assert f.in_modes == (4, 4, 4)
 
 
-def test_choose_factorization_prime_warns_once(caplog, monkeypatch):
-    monkeypatch.setattr(logging.getLogger("ttrnn"), "propagate", True)  # the CLI turns it off
+def test_choose_factorization_prime_warns_once(caplog):
     caplog.set_level(logging.WARNING, logger="ttrnn")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the notice is a log record, not a Python warning
