@@ -8,7 +8,10 @@ results into the .grad of each leaf (a Variable no record on the tape
 produced, such as a weight or an input), so repeated backward calls
 accumulate (two identical calls leave exactly twice the gradient).
 Variables the tape produced keep .grad None: their adjoints live only
-in the table.
+in the table.  backward(..., retain_graph=False), as training uses, pops
+each record once its pulls have run, so a record's buffers are freed
+before the earlier records' pulls allocate theirs.  A Tape(need_grad=False),
+as evaluation and prediction use, records nothing.
 
 Values may be single vectors or batches with a leading batch axis; every
 op handles both so sequence models can run whole minibatches through one
@@ -68,27 +71,40 @@ class Variable:
 
 
 class Tape:
-    def __init__(self):
+    """The records of the ops run on it, for backward.
+
+    A Tape(need_grad=False) records nothing, like code under torch.no_grad:
+    ops compute their values, but their pulls, and what the pulls would
+    read, die with the op.  The fused recurrence then keeps no BPTT buffers.
+    """
+
+    def __init__(self, need_grad: bool = True):
+        self.need_grad = need_grad
         self.records = []  # (out Variable, [(in Variable, pull fn)])
 
     def emit(self, value: DenseTensor, pulls) -> Variable:
         out = Variable(value)
-        self.records.append((out, list(pulls)))
+        if self.need_grad:
+            self.records.append((out, list(pulls)))
         return out
 
 
-def backward(tape: Tape, loss: Variable):
+def backward(tape: Tape, loss: Variable, retain_graph: bool = True):
     """Accumulate d(loss)/d(leaf) into .grad for every leaf the loss reaches.
 
     A leaf is a Variable that no record on this tape produced.  Adjoints of
-    produced Variables are consumed on the way and never stored.
+    produced Variables are consumed on the way and never stored.  With
+    retain_graph=False each record is popped off the tape as soon as its
+    pulls have run, so the buffers it holds are freed during the pass and
+    the tape is left empty.
     """
     if loss.value.shape != ():
         raise NotScalar("loss must be a scalar, got shape %r" % (loss.value.shape,))
     adjoint = {id(loss): np.array(1.0)}
     holders = {id(loss): loss}
     borrowed = set()  # keys whose adjoint is an array a pull was handed
-    for out, pulls in reversed(tape.records):
+    records = tape.records
+    for out, pulls in reversed(records) if retain_graph else (records.pop() for _ in range(len(records))):
         g = adjoint.pop(id(out), None)
         if g is None:
             continue
@@ -251,6 +267,7 @@ def embed(tape: Tape, table: Variable, token_ids) -> Variable:
     accumulate correctly.
     """
     ta = table.value.array
+    shape = ta.shape  # the pull needs no more: an optimizer may replace ta while the tape lives
     if ta.ndim != 2:
         raise ShapeMismatch("embedding table must be rank 2, got %r" % (table.value.shape,))
     ids = np.asarray(token_ids)
@@ -263,8 +280,8 @@ def embed(tape: Tape, table: Variable, token_ids) -> Variable:
     out = _wrap(np.ascontiguousarray(ta[ids]))
 
     def pull(g):
-        dt = np.zeros(ta.shape)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, ta.shape[1]))
+        dt = np.zeros(shape)
+        np.add.at(dt, ids.reshape(-1), g.reshape(-1, shape[1]))
         return dt
 
     return tape.emit(out, [(table, pull)])

@@ -18,9 +18,11 @@ of the recurrence module) holding the one final state part it reads, h
 back, runs its head inside the recurrence).  An optional mask, 1 on a
 prefix of each row and 0 after it, gives each row's length.  Only the
 real tokens are embedded and run, packed time-major as the recurrence
-module describes, so padding costs nothing.  step is a one-step run of
-the same recurrence with one record per state part, so chained steps
-stay differentiable.
+module describes, so padding costs nothing.  On a Tape(need_grad=False),
+as evaluation and classify use, nothing is recorded and the recurrence
+keeps only its running state.  step is a one-step run of the same
+recurrence with one record per state part, so chained steps stay
+differentiable.
 
 Gate naming: gru uses r (reset), z (update), d (candidate); lstm uses
 k (input), f (forget), o (output), g (candidate).
@@ -299,7 +301,7 @@ def _recurrence(tape, spec, weights, xs, lengths, batch, state=None):
 
     x = xs.value.array.reshape(-1, spec.embed_dim)
     final, pull = recurrence.run(
-        spec.family, x, lengths, arrays(ws), arrays(us), arrays(bs), state0, arrays(head)
+        spec.family, x, lengths, arrays(ws), arrays(us), arrays(bs), state0, arrays(head), tape.need_grad
     )
     inputs = [xs, *ws, *us, *(b for b in bs if b is not None), *head, *given]
 
@@ -377,5 +379,5 @@ def run_sequence(
 
 def classify(spec: CellSpec, weights: CellWeights, token_ids, mask=None):
     """Predicted class index (or index array) for encoded tokens."""
-    probs = run_sequence(Tape(), spec, weights, token_ids, mask=mask)
+    probs = run_sequence(Tape(need_grad=False), spec, weights, token_ids, mask=mask)
     return np.argmax(probs.value.array, axis=-1)

@@ -19,6 +19,11 @@ adjoints over the packed (Σ lengths, G*H) input pre-activations, which the
 forward no longer needs, and forms the W, U and b gradients as one GEMM
 (or sum) each over them, plus one packed input adjoint.
 
+Without need_grad, as evaluation runs it, nothing is kept for a backward:
+every step writes the first rows of one (B, width) store instead of its
+packed rows, the same loop with the same arithmetic, so the probabilities
+are bitwise those of a training run.
+
 Families and their state: elman (h), jordan (h, y; the class head runs
 inside the recurrence and y feeds back), gru (h), lstm (h, c).  Gates come
 in CellSpec order (gru r, z, d; lstm k, f, o, g); only this module stacks
@@ -32,45 +37,45 @@ import numpy as np
 from .tensor import sigmoid_array
 
 
-def _elman(xg, u, state, steps):
+def _elman(xg, u, state, steps, rows):
     h = state[0].copy()
-    prev = np.empty((len(xg), h.shape[1]))
+    prev = np.empty((rows, h.shape[1]))
     hs = np.empty_like(prev)
-    for p, r in steps:
-        prev[p] = h[r]
-        hs[p] = h[r] = np.tanh(xg[p] + prev[p] @ u.T)
+    for p, q, r in steps:
+        prev[q] = h[r]
+        hs[q] = h[r] = np.tanh(xg[p] + prev[q] @ u.T)
 
     def grads(d_final):
         (dh,) = d_final
         da = xg
-        for p, r in reversed(steps):
-            da[p] = a = dh[r] * (1.0 - hs[p] * hs[p])
+        for p, q, r in reversed(steps):
+            da[p] = a = dh[r] * (1.0 - hs[q] * hs[q])
             dh[r] = a @ u
         return da, da.T @ prev, (dh,), ()
 
     return (h,), grads
 
 
-def _jordan(xg, u, state, steps, head_w, head_b):
+def _jordan(xg, u, state, steps, rows, head_w, head_b):
     h, y = (s.copy() for s in state)
-    prev_y = np.empty((len(xg), y.shape[1]))
-    hs = np.empty((len(xg), h.shape[1]))
+    prev_y = np.empty((rows, y.shape[1]))
+    hs = np.empty((rows, h.shape[1]))
     ys = np.empty_like(prev_y)
-    for p, r in steps:
-        prev_y[p] = y[r]
-        hs[p] = h[r] = np.tanh(xg[p] + prev_y[p] @ u.T)
-        logits = hs[p] @ head_w.T + head_b
+    for p, q, r in steps:
+        prev_y[q] = y[r]
+        hs[q] = h[r] = np.tanh(xg[p] + prev_y[q] @ u.T)
+        logits = hs[q] @ head_w.T + head_b
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        ys[p] = y[r] = e / e.sum(axis=-1, keepdims=True)
+        ys[q] = y[r] = e / e.sum(axis=-1, keepdims=True)
 
     def grads(d_final):
         dh, dy = d_final
         da = xg
         dlogits = np.empty_like(ys)
-        for p, r in reversed(steps):
-            q, dyn = ys[p], dy[r]
-            dlogits[p] = dl = q * (dyn - (dyn * q).sum(axis=-1, keepdims=True))
-            da[p] = a = (dh[r] + dl @ head_w) * (1.0 - hs[p] * hs[p])
+        for p, q, r in reversed(steps):
+            yq, dyn = ys[q], dy[r]
+            dlogits[q] = dl = yq * (dyn - (dyn * yq).sum(axis=-1, keepdims=True))
+            da[p] = a = (dh[r] + dl @ head_w) * (1.0 - hs[q] * hs[q])
             dy[r] = a @ u
             dh[r] = 0.0  # h does not feed back, so it reaches no earlier step
         head = (dlogits.T @ hs, dlogits.sum(axis=0))
@@ -79,25 +84,25 @@ def _jordan(xg, u, state, steps, head_w, head_b):
     return (h, y), grads
 
 
-def _gru(xg, u, state, steps):
+def _gru(xg, u, state, steps, rows):
     h = state[0].copy()
     n = h.shape[-1]
     u_rz, u_d = u[: 2 * n], u[2 * n :]
-    prev = np.empty((len(xg), n))
-    rz = np.empty((len(xg), 2 * n))
+    prev = np.empty((rows, n))
+    rz = np.empty((rows, 2 * n))
     ds = np.empty_like(prev)
-    for p, r in steps:
-        prev[p] = hp = h[r]
-        rz[p] = s = sigmoid_array(xg[p, : 2 * n] + hp @ u_rz.T)
+    for p, q, r in steps:
+        prev[q] = hp = h[r]
+        rz[q] = s = sigmoid_array(xg[p, : 2 * n] + hp @ u_rz.T)
         z = s[:, n:]
-        ds[p] = d = np.tanh(xg[p, 2 * n :] + (s[:, :n] * hp) @ u_d.T)
+        ds[q] = d = np.tanh(xg[p, 2 * n :] + (s[:, :n] * hp) @ u_d.T)
         h[r] = (1.0 - z) * hp + z * d
 
     def grads(d_final):
         (dh,) = d_final
         da = xg
-        for p, r in reversed(steps):
-            dn, s, d, hp, a = dh[r], rz[p], ds[p], prev[p], da[p]
+        for p, q, r in reversed(steps):
+            dn, s, d, hp, a = dh[r], rz[q], ds[q], prev[q], da[p]
             z = s[:, n:]
             a[:, 2 * n :] = dn * z * (1.0 - d * d)
             drh = a[:, 2 * n :] @ u_d
@@ -111,32 +116,32 @@ def _gru(xg, u, state, steps):
     return (h,), grads
 
 
-def _lstm(xg, u, state, steps):
+def _lstm(xg, u, state, steps, rows):
     h, c = (s.copy() for s in state)
     n = h.shape[-1]
-    prev_h = np.empty((len(xg), n))
+    prev_h = np.empty((rows, n))
     prev_c = np.empty_like(prev_h)
-    kfo = np.empty((len(xg), 3 * n))
+    kfo = np.empty((rows, 3 * n))
     gs = np.empty_like(prev_h)
     tcs = np.empty_like(prev_h)
-    for p, r in steps:
-        prev_h[p], prev_c[p] = h[r], c[r]
-        pre = xg[p] + prev_h[p] @ u.T
-        kfo[p] = s = sigmoid_array(pre[:, : 3 * n])
-        gs[p] = g = np.tanh(pre[:, 3 * n :])
-        c[r] = cn = s[:, n : 2 * n] * prev_c[p] + s[:, :n] * g
-        tcs[p] = tc = np.tanh(cn)
+    for p, q, r in steps:
+        prev_h[q], prev_c[q] = h[r], c[r]
+        pre = xg[p] + prev_h[q] @ u.T
+        kfo[q] = s = sigmoid_array(pre[:, : 3 * n])
+        gs[q] = g = np.tanh(pre[:, 3 * n :])
+        c[r] = cn = s[:, n : 2 * n] * prev_c[q] + s[:, :n] * g
+        tcs[q] = tc = np.tanh(cn)
         h[r] = s[:, 2 * n :] * tc
 
     def grads(d_final):
         dh, dc = d_final
         da = xg
-        for p, r in reversed(steps):
-            dhn, s, g, tc, a = dh[r], kfo[p], gs[p], tcs[p], da[p]
+        for p, q, r in reversed(steps):
+            dhn, s, g, tc, a = dh[r], kfo[q], gs[q], tcs[q], da[p]
             k, f, o = s[:, :n], s[:, n : 2 * n], s[:, 2 * n :]
             dcn = dc[r] + dhn * o * (1.0 - tc * tc)
             a[:, :n] = dcn * g
-            a[:, n : 2 * n] = dcn * prev_c[p]
+            a[:, n : 2 * n] = dcn * prev_c[q]
             a[:, 2 * n : 3 * n] = dhn * tc
             a[:, : 3 * n] *= s * (1.0 - s)
             a[:, 3 * n :] = dcn * k * (1.0 - g * g)
@@ -150,7 +155,7 @@ def _lstm(xg, u, state, steps):
 _RUN = {"elman": _elman, "jordan": _jordan, "gru": _gru, "lstm": _lstm}
 
 
-def run(family: str, x, lengths, ws, us, bs, state, head=()):
+def run(family: str, x, lengths, ws, us, bs, state, head=(), need_grad=True):
     """Run one family's recurrence over packed x; return (final state, pull).
 
     lengths is (B,), each row's number of steps, all >= 1; x is
@@ -162,14 +167,24 @@ def run(family: str, x, lengths, ws, us, bs, state, head=()):
     standing for zeros) to the adjoints of x (packed like x), each W, each
     U, each bias that is not None, head and state, as one list in that
     order.
+
+    Each step is (p, q, r): its packed rows p of x and xg, the rows q of
+    the per-step store it writes, and its batch rows r.  With need_grad
+    the store is packed like x, q == p, and the backward reads it.  Without,
+    pull is None and every step writes the first rows of one (B, width)
+    store, so nothing per token is kept beyond x and xg.
     """
     w, u = np.concatenate(ws), np.concatenate(us)
     xg = x @ w.T
     xg += np.concatenate([np.zeros(len(v)) if b is None else b for v, b in zip(ws, bs)])
     live = [np.flatnonzero(lengths > t) for t in range(lengths.max())]
     ends = np.cumsum([len(r) for r in live])
-    steps = [(slice(end - len(r), end), r) for end, r in zip(ends, live)]
-    final, grads = _RUN[family](xg, u, state, steps, *head)
+    packed = [slice(end - len(r), end) for end, r in zip(ends, live)]
+    stores = packed if need_grad else [slice(0, len(r)) for r in live]
+    steps = list(zip(packed, stores, live))
+    final, grads = _RUN[family](xg, u, state, steps, len(x) if need_grad else len(lengths), *head)
+    if not need_grad:
+        return final, None
 
     def pull(d_final):
         da, du, d_state, d_head = grads(

@@ -21,7 +21,6 @@ scored the highest validation macro-F1 is the checkpoint returned.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -306,12 +305,12 @@ def _batch_arrays(encoded):
 
 
 def model_probabilities(spec: CellSpec, weights: CellWeights, encoded, batch_size: int = _EVAL_BATCH):
-    """Class probabilities for a list of encoded examples, batch by batch."""
+    """Class probabilities for a list of encoded examples, batch by batch, forward only."""
     chunks = []
     for start in range(0, len(encoded), batch_size):
         part = encoded[start : start + batch_size]
         ids, mask, _ = _batch_arrays(part)
-        probs = run_sequence(Tape(), spec, weights, ids, mask=mask)
+        probs = run_sequence(Tape(need_grad=False), spec, weights, ids, mask=mask)
         chunks.append(probs.value.array)
     return np.concatenate(chunks, axis=0)
 
@@ -369,6 +368,8 @@ def corpus_fingerprint(examples, label_of) -> str:
     The text's length prefix keeps the boundary between text and label
     unambiguous.
     """
+    import hashlib  # here, not at the top: predict never hashes, and _hashlib adds ~3.5 MB to its RSS
+
     lines = "".join("%d %s %s\n" % (len(ex.clean_text), ex.clean_text, label_of(ex)) for ex in examples)
     return hashlib.sha256(lines.encode("utf-8", "surrogatepass")).hexdigest()
 
@@ -509,7 +510,7 @@ def train(
                 tape = Tape()
                 probs = run_sequence(tape, spec, weights, ids, mask=mask)
                 loss = ad.cross_entropy_mean(tape, probs, labels)
-                ad.backward(tape, loss)
+                ad.backward(tape, loss, retain_graph=False)
                 batch_loss = float(loss.value.array)
                 norm = gradient_norm(params)
                 _require_finite(epoch, where, "the loss", batch_loss)
@@ -525,7 +526,6 @@ def train(
                     sgd_step(params, config.learning_rate)
             ad.zero_grads(params)
             loss_sum += batch_loss * len(batch)
-        tape = None  # validation needs none of the last batch's forward buffers
 
         with _finite(epoch, "validation"):
             val_report = evaluate_model(spec, weights, data.val)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,30 @@ def test_double_backward_doubles_gradients():
     once = a.grad.copy()
     ad.backward(tape, loss)
     assert np.allclose(a.grad, 2.0 * once)
+
+
+def test_a_releasing_backward_frees_each_record_before_earlier_pulls_run():
+    a = _var(np.ones(3))
+    alive = []  # whether the later record's buffer was alive when the first record's pull ran
+    for retain in (True, False):
+        tape = ad.Tape()
+        first = tape.emit(tensor(np.ones(3)), [(a, lambda g: alive.append(kept() is not None) or g)])
+        buffer = np.full(3, 2.0)
+        kept = weakref.ref(buffer)
+        second = tape.emit(tensor(np.ones(3)), [(first, lambda g, b=buffer: g * b)])
+        del buffer
+        ad.backward(tape, ad.sum_all(tape, second), retain_graph=retain)
+        assert len(tape.records) == (3 if retain else 0)
+    assert alive == [True, False]
+    assert np.array_equal(a.grad, np.full(3, 4.0))
+
+
+def test_a_no_grad_tape_records_nothing():
+    a = _var(np.ones(3))
+    tape = ad.Tape(need_grad=False)
+    y = ad.sum_all(tape, ad.sigmoid(tape, a))
+    assert tape.records == [] and not tape.need_grad
+    assert np.allclose(y.value.array, 3.0 / (1.0 + np.exp(-1.0)))
 
 
 def test_zero_grads_and_add_grad_shape_guard():

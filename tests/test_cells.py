@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -276,6 +278,69 @@ def test_two_backward_calls_leave_exactly_twice_the_gradient(kind):
     assert "embedding" in once
     for name, g in once.items():
         assert np.array_equal(weights[name].grad, 2.0 * g), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_releasing_backward_empties_the_tape_and_gives_the_retained_gradients(kind):
+    spec = _spec(kind)
+    ids, mask, labels = SEQUENCE_CASES[1]
+    grads = {}
+    for retain in (True, False):
+        weights = init_weights(spec, seed=9)
+        tape, loss = _sequence_loss(spec, weights, ids, mask, labels)
+        ad.backward(tape, loss, retain_graph=retain)
+        assert bool(tape.records) == retain
+        grads[retain] = {name: v.grad for name, v in weights.values.items()}
+    for name, g in grads[True].items():
+        assert g is not None and np.array_equal(grads[False][name], g), name
+
+
+def _ragged(rows, steps, lengths, seed):
+    """(ids, mask) of a batch whose row i has lengths[i] real tokens."""
+    mask = (np.arange(steps) < np.asarray(lengths)[:, None]).astype(np.float64)
+    ids = np.array(rng.permutation(seed, rows * steps)).reshape(rows, steps) % 10 + 1
+    return ids * mask.astype(np.int64), mask
+
+
+FORWARD_CASES = [(kind, True) for kind in KINDS] + [("gru", False), ("t_gru", False)]
+
+
+@pytest.mark.parametrize("kind,candidate_bias", FORWARD_CASES)
+def test_forward_only_probabilities_equal_the_recording_run(kind, candidate_bias):
+    spec = _spec(kind, candidate_bias=candidate_bias)
+    weights = init_weights(spec, seed=12)
+    ids, mask = _ragged(4, 6, [3, 6, 1, 4], seed=12)  # rows not in length order
+    for case in ((ids, mask), (ids[1], None)):
+        recorded = run_sequence(Tape(), spec, weights, *case).value.array
+        tape = Tape(need_grad=False)
+        free = run_sequence(tape, spec, weights, *case).value.array
+        assert tape.records == []
+        assert np.array_equal(free, recorded)
+        assert np.array_equal(classify(spec, weights, *case), np.argmax(recorded, axis=-1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_only_run_keeps_nothing_per_token_beyond_x_and_xg(kind):
+    rows, steps, embed, hidden = 8, 128, 8, 32
+    tt = dict(tt_out_modes=(2, 4, 4), tt_in_modes=(2, 2, 2), tt_ranks=(1, 2, 2, 1))
+    spec = CellSpec(kind, 11, embed, hidden, 3, **(tt if kind in TENSORIZED else {}))
+    weights = init_weights(spec, seed=13)
+    lengths = np.array([125, 128, 122, 127, 121, 126, 123, 124])
+    ids, mask = _ragged(rows, steps, lengths, seed=13)
+    run_sequence(Tape(need_grad=False), spec, weights, ids, mask=mask)  # first-call set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_sequence(Tape(need_grad=False), spec, weights, ids, mask=mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width = len(spec.gates) * hidden  # a row of xg
+    x_and_xg = int(lengths.sum()) * (embed + width) * 8
+    # numpy's 64 KiB ufunc buffer, the per-step row lists and some (B, width) temporaries;
+    # the recording run's BPTT store alone is 1.8x (jordan) to 6.8x (lstm) larger than this
+    margin = 2**17 + 16 * rows * width * 8
+    assert peak - before <= x_and_xg + margin
 
 
 def _records_reading(tape, var):

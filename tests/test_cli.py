@@ -13,6 +13,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -512,6 +514,14 @@ def _without_weights(manifest, count, blob):
     m = json.loads(manifest)
     del m["weights"]
     return json.dumps(m).encode("utf-8"), count, blob
+
+
+def test_importing_the_cli_loads_no_openssl_hashing():
+    # predict never hashes; OpenSSL's _hashlib would add ~3.5 MB to every predict process
+    code = "import sys, ttrnn.cli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # each maps (manifest, count, blob) of a good model to a CRC-valid bad one

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from ttrnn.autodiff import Variable
+from ttrnn import autodiff as ad
+from ttrnn.autodiff import Tape, Variable
 from ttrnn import training
+from ttrnn.cells import CellSpec, init_weights, run_sequence
 from ttrnn.errors import ClassTooSmall, CorpusMismatch, EmptyTestSet, NonFiniteTraining, ShapeMismatch
 from ttrnn.tensor import WORK_CHUNK, tensor
 from ttrnn.textpipe import CleanExample
@@ -191,6 +194,18 @@ def test_adam_step_allocates_only_the_new_value_after_the_first_step():
     finally:
         tracemalloc.stop()
     assert peak - before <= 8 * n + 2**20
+
+
+def test_a_live_tape_does_not_keep_the_embedding_table_adam_replaced():
+    spec = CellSpec("gru", vocab_size=11, embed_dim=8, hidden_dim=8, num_classes=3)
+    weights = init_weights(spec, seed=3)
+    tape = Tape()
+    probs = run_sequence(tape, spec, weights, np.array([[2, 7, 1]]))
+    ad.backward(tape, ad.cross_entropy_mean(tape, probs, np.array([1])))
+    old = weakref.ref(weights["embedding"].value.array)
+    adam_step(weights.params(), 1e-3, t=1)
+    assert tape.records  # the tape, and the embedding lookup's pull, are still alive
+    assert old() is None
 
 
 def test_batch_mask_is_the_stack_of_example_masks(tiny_corpus):
