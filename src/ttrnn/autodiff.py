@@ -8,8 +8,8 @@ results into the .grad of each leaf (a Variable no record on the tape
 produced, such as a weight or an input), so repeated backward calls
 accumulate (two identical calls leave exactly twice the gradient).
 Variables the tape produced keep .grad None: their adjoints live only
-in the table.  backward(..., retain_graph=False), as training uses, pops
-each record once its pulls have run, so a record's buffers are freed
+in the table.  On a Tape(retain_graph=False), as training uses, backward
+pops each record once its pulls have run, so a record's buffers are freed
 before the earlier records' pulls allocate theirs.  A Tape(need_grad=False),
 as evaluation and prediction use, records nothing.
 
@@ -76,10 +76,14 @@ class Tape:
     A Tape(need_grad=False) records nothing, like code under torch.no_grad:
     ops compute their values, but their pulls, and what the pulls would
     read, die with the op.  The fused recurrence then keeps no BPTT buffers.
+    On a Tape(retain_graph=False), like torch's backward(retain_graph=False),
+    backward pops each record as soon as its pulls have run and leaves the
+    tape empty.
     """
 
-    def __init__(self, need_grad: bool = True):
+    def __init__(self, need_grad: bool = True, retain_graph: bool = True):
         self.need_grad = need_grad
+        self.retain_graph = retain_graph
         self.records = []  # (out Variable, [(in Variable, pull fn)])
 
     def emit(self, value: DenseTensor, pulls) -> Variable:
@@ -89,14 +93,14 @@ class Tape:
         return out
 
 
-def backward(tape: Tape, loss: Variable, retain_graph: bool = True):
+def backward(tape: Tape, loss: Variable):
     """Accumulate d(loss)/d(leaf) into .grad for every leaf the loss reaches.
 
     A leaf is a Variable that no record on this tape produced.  Adjoints of
-    produced Variables are consumed on the way and never stored.  With
-    retain_graph=False each record is popped off the tape as soon as its
-    pulls have run, so the buffers it holds are freed during the pass and
-    the tape is left empty.
+    produced Variables are consumed on the way and never stored.  If the
+    tape was made with retain_graph=False, each record is popped off it as
+    soon as its pulls have run, so the buffers it holds are freed during
+    the pass and the tape is left empty.
     """
     if loss.value.shape != ():
         raise NotScalar("loss must be a scalar, got shape %r" % (loss.value.shape,))
@@ -104,7 +108,7 @@ def backward(tape: Tape, loss: Variable, retain_graph: bool = True):
     holders = {id(loss): loss}
     borrowed = set()  # keys whose adjoint is an array a pull was handed
     records = tape.records
-    for out, pulls in reversed(records) if retain_graph else (records.pop() for _ in range(len(records))):
+    for out, pulls in reversed(records) if tape.retain_graph else (records.pop() for _ in range(len(records))):
         g = adjoint.pop(id(out), None)
         if g is None:
             continue

@@ -507,10 +507,10 @@ def train(
             ids, mask, labels = _batch_arrays(batch)
             where = "batch %d" % number
             with _finite(epoch, where):
-                tape = Tape()
+                tape = Tape(retain_graph=False)
                 probs = run_sequence(tape, spec, weights, ids, mask=mask)
                 loss = ad.cross_entropy_mean(tape, probs, labels)
-                ad.backward(tape, loss, retain_graph=False)
+                ad.backward(tape, loss)
                 batch_loss = float(loss.value.array)
                 norm = gradient_norm(params)
                 _require_finite(epoch, where, "the loss", batch_loss)

@@ -212,13 +212,13 @@ def test_a_releasing_backward_frees_each_record_before_earlier_pulls_run():
     a = _var(np.ones(3))
     alive = []  # whether the later record's buffer was alive when the first record's pull ran
     for retain in (True, False):
-        tape = ad.Tape()
+        tape = ad.Tape(retain_graph=retain)
         first = tape.emit(tensor(np.ones(3)), [(a, lambda g: alive.append(kept() is not None) or g)])
         buffer = np.full(3, 2.0)
         kept = weakref.ref(buffer)
         second = tape.emit(tensor(np.ones(3)), [(first, lambda g, b=buffer: g * b)])
         del buffer
-        ad.backward(tape, ad.sum_all(tape, second), retain_graph=retain)
+        ad.backward(tape, ad.sum_all(tape, second))
         assert len(tape.records) == (3 if retain else 0)
     assert alive == [True, False]
     assert np.array_equal(a.grad, np.full(3, 4.0))

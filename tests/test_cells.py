@@ -227,8 +227,8 @@ SEQUENCE_CASES = [
 ]
 
 
-def _sequence_loss(spec, weights, ids, mask, labels):
-    tape = Tape()
+def _sequence_loss(spec, weights, ids, mask, labels, retain_graph=True):
+    tape = Tape(retain_graph=retain_graph)
     probs = run_sequence(tape, spec, weights, ids, mask=mask)
     return tape, ad.cross_entropy_mean(tape, probs, labels)
 
@@ -287,8 +287,8 @@ def test_a_releasing_backward_empties_the_tape_and_gives_the_retained_gradients(
     grads = {}
     for retain in (True, False):
         weights = init_weights(spec, seed=9)
-        tape, loss = _sequence_loss(spec, weights, ids, mask, labels)
-        ad.backward(tape, loss, retain_graph=retain)
+        tape, loss = _sequence_loss(spec, weights, ids, mask, labels, retain_graph=retain)
+        ad.backward(tape, loss)
         assert bool(tape.records) == retain
         grads[retain] = {name: v.grad for name, v in weights.values.items()}
     for name, g in grads[True].items():
