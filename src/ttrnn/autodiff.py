@@ -2,16 +2,15 @@
 
 Ops execute eagerly and append a record to a Tape: the output Variable
 plus, per input, a pull function mapping the output adjoint to that
-input's adjoint contribution.  backward() walks the tape once in reverse
-with a local adjoint table seeded at 1.0 for the loss, then adds the
-results into the .grad of each leaf (a Variable no record on the tape
-produced, such as a weight or an input), so repeated backward calls
-accumulate (two identical calls leave exactly twice the gradient).
-Variables the tape produced keep .grad None: their adjoints live only
-in the table.  On a Tape(retain_graph=False), as training uses, backward
-pops each record once its pulls have run, so a record's buffers are freed
-before the earlier records' pulls allocate theirs.  A Tape(need_grad=False),
-as evaluation and prediction use, records nothing.
+input's adjoint contribution.  backward() consumes the tape, popping the
+records in reverse so each one's buffers are freed before earlier pulls
+allocate theirs, and adds each leaf's adjoint (a leaf is a Variable no
+record on the tape produced, such as a weight or an input) into its
+.grad.  Backward on fresh tapes accumulates (two identical runs leave
+exactly twice the gradient); a second backward on one tape, or one on a
+Tape(need_grad=False), which records nothing and serves evaluation and
+prediction, raises NotRecorded.  Variables the tape produced keep .grad
+None: their adjoints live only in backward's table.
 
 Values may be single vectors or batches with a leading batch axis; every
 op handles both so sequence models can run whole minibatches through one
@@ -20,14 +19,15 @@ embedding lookup, `tt_weight` per tensor-train gate, one fused record
 for the whole recurrence per state part read (cells and recurrence
 modules), the head and the loss.  The per-step ops (sigmoid, tanh, add,
 hadamard, one_minus, blend, tt_linear) remain as the reference the fused
-recurrence is tested against.
+recurrence is tested against, and because the benchmark tracer
+(perfbench/spans.py) wraps them by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotScalar, ShapeMismatch
+from .errors import NotRecorded, NotScalar, ShapeMismatch
 from .tensor import DenseTensor, _wrap, sigmoid_array
 from .ttcore import (
     _ApplyTrace,
@@ -71,19 +71,15 @@ class Variable:
 
 
 class Tape:
-    """The records of the ops run on it, for backward.
+    """The records of the ops run on it, for one backward.
 
     A Tape(need_grad=False) records nothing, like code under torch.no_grad:
     ops compute their values, but their pulls, and what the pulls would
     read, die with the op.  The fused recurrence then keeps no BPTT buffers.
-    On a Tape(retain_graph=False), like torch's backward(retain_graph=False),
-    backward pops each record as soon as its pulls have run and leaves the
-    tape empty.
     """
 
-    def __init__(self, need_grad: bool = True, retain_graph: bool = True):
+    def __init__(self, need_grad: bool = True):
         self.need_grad = need_grad
-        self.retain_graph = retain_graph
         self.records = []  # (out Variable, [(in Variable, pull fn)])
 
     def emit(self, value: DenseTensor, pulls) -> Variable:
@@ -96,39 +92,28 @@ class Tape:
 def backward(tape: Tape, loss: Variable):
     """Accumulate d(loss)/d(leaf) into .grad for every leaf the loss reaches.
 
-    A leaf is a Variable that no record on this tape produced.  Adjoints of
-    produced Variables are consumed on the way and never stored.  If the
-    tape was made with retain_graph=False, each record is popped off it as
-    soon as its pulls have run, so the buffers it holds are freed during
-    the pass and the tape is left empty.
+    A leaf is a Variable that no record on this tape produced.  Each record
+    is popped as soon as its pulls have run, so its buffers are freed during
+    the pass and the tape is left empty.  Raises NotRecorded, changing no
+    .grad, unless a record on the tape produced the loss.
     """
     if loss.value.shape != ():
         raise NotScalar("loss must be a scalar, got shape %r" % (loss.value.shape,))
-    adjoint = {id(loss): np.array(1.0)}
-    holders = {id(loss): loss}
-    borrowed = set()  # keys whose adjoint is an array a pull was handed
-    records = tape.records
-    for out, pulls in reversed(records) if tape.retain_graph else (records.pop() for _ in range(len(records))):
-        g = adjoint.pop(id(out), None)
-        if g is None:
-            continue
-        holders.pop(id(out), None)
-        for src, pull in pulls:
-            contribution = pull(g)
-            key = id(src)
-            held = adjoint.get(key)
-            if held is None:
-                adjoint[key] = contribution
-                holders[key] = src
-                if contribution is g:
-                    borrowed.add(key)
-            else:
-                adjoint[key] = held + contribution
-                borrowed.discard(key)
-    for key, g in adjoint.items():
+    if not any(out is loss for out, _ in tape.records):
+        raise NotRecorded("no record on this tape produced the loss; a tape serves one backward")
+    # id -> (Variable, adjoint, whether the adjoint is the array a pull was handed)
+    table = {id(loss): (loss, np.array(1.0), False)}
+    while tape.records:
+        out, pulls = tape.records.pop()
+        if id(out) in table:
+            g = table.pop(id(out))[1]
+            for src, pull in pulls:
+                c = pull(g)
+                held = table.get(id(src))
+                table[id(src)] = (src, c, c is g) if held is None else (src, held[1] + c, False)
+    for src, g, borrowed in table.values():
         # a fresh array that owns its data and no pull was handed is kept uncopied
-        owned = key not in borrowed and g.base is None and g.flags.writeable
-        holders[key].add_grad(g, copy=not owned)
+        src.add_grad(g, copy=borrowed or g.base is not None or not g.flags.writeable)
 
 
 def zero_grads(variables):

@@ -319,10 +319,18 @@ def _recurrence(tape, spec, weights, xs, lengths, batch, state=None):
 def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: CellState):
     """One recurrent update.  Returns (new_state, class probabilities).
 
-    x is an embedded input, (E,) or (B, E); the state must match.  This is
-    a one-step run of the same fused op run_sequence uses.
+    x is an embedded input, (E,) or (B, E), and each state part the family
+    carries must be (width,) or (B, width) to match; anything else raises
+    ShapeMismatch.  This is a one-step run of the same fused op
+    run_sequence uses.
     """
     batch = x.value.shape[0] if x.value.array.ndim == 2 else None
+    lead = () if batch is None else (batch,)
+    parts = [("input", x, spec.embed_dim)] + [(n, getattr(state, n), w) for n, w in _state_parts(spec)]
+    for name, v, width in parts:
+        shape = None if v is None else v.value.shape
+        if shape != lead + (width,):
+            raise ShapeMismatch("step %s has shape %r, expected %r" % (name, shape, lead + (width,)))
     lengths = np.ones(1 if batch is None else batch, dtype=np.int64)
     part = _recurrence(tape, spec, weights, x, lengths, batch, state)
     state = CellState(**{name: part(name) for name, _ in _state_parts(spec)})

@@ -21,6 +21,10 @@ class NotScalar(TtrnnError):
     pass
 
 
+class NotRecorded(TtrnnError):
+    """backward was given a loss that no record on its tape produced."""
+
+
 class LabelOutOfRange(TtrnnError):
     pass
 

@@ -304,11 +304,11 @@ def _batch_arrays(encoded):
     return ids, mask, labels
 
 
-def model_probabilities(spec: CellSpec, weights: CellWeights, encoded, batch_size: int = _EVAL_BATCH):
-    """Class probabilities for a list of encoded examples, batch by batch, forward only."""
+def model_probabilities(spec: CellSpec, weights: CellWeights, encoded):
+    """Class probabilities for a list of encoded examples, _EVAL_BATCH at a time, forward only."""
     chunks = []
-    for start in range(0, len(encoded), batch_size):
-        part = encoded[start : start + batch_size]
+    for start in range(0, len(encoded), _EVAL_BATCH):
+        part = encoded[start : start + _EVAL_BATCH]
         ids, mask, _ = _batch_arrays(part)
         probs = run_sequence(Tape(need_grad=False), spec, weights, ids, mask=mask)
         chunks.append(probs.value.array)
@@ -507,7 +507,7 @@ def train(
             ids, mask, labels = _batch_arrays(batch)
             where = "batch %d" % number
             with _finite(epoch, where):
-                tape = Tape(retain_graph=False)
+                tape = Tape()
                 probs = run_sequence(tape, spec, weights, ids, mask=mask)
                 loss = ad.cross_entropy_mean(tape, probs, labels)
                 ad.backward(tape, loss)

@@ -89,3 +89,33 @@ def test_perfbench_train_configs_build(monkeypatch):
         for kind in w.kinds:
             config = workloads.train_config(w, kind, 0)
             build_cell_spec(kind, 100, config, 6)
+
+
+def test_one_traced_round_runs_and_uninstalls(tiny_corpus):
+    # the tracer hands each wrapped call's arguments to observers with fixed signatures
+    import numpy as np
+
+    from ttrnn import autodiff, cells, training
+
+    spans = _load("spans")
+    original = autodiff.backward
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.enabled = True
+    try:
+        config = training.TrainConfig(epochs_max=1, seed=3, hidden_dim=8, embed_dim=8, max_len=10)
+        for kind in ("gru", "t_gru"):
+            training.train(config, tiny_corpus, kind)
+        spec = cells.CellSpec("gru", vocab_size=11, embed_dim=8, hidden_dim=8, num_classes=3)
+        weights = cells.init_weights(spec, seed=1)
+        x = autodiff.Variable(np.ones(8))
+        cells.step(autodiff.Tape(), spec, weights, x, cells.init_state(spec))
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    for counter in ("tape.backward_calls", "adam.params", "run_sequence.real_tokens"):
+        assert tracer.counters.get(counter, 0) > 0, counter
+    table = spans.span_table(tracer)
+    for name in ("autodiff.backward", "training.adam_step", "cells.run_sequence", "cells.step"):
+        assert name in table, name
+    assert ttrnn.autodiff.backward is original

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ttrnn import autodiff as ad
 from ttrnn import rng
-from ttrnn.errors import NotScalar, ShapeMismatch
+from ttrnn.errors import NotRecorded, NotScalar, ShapeMismatch
 from ttrnn.tensor import tensor
 from ttrnn.ttcore import (
     ModeFactorization,
@@ -198,30 +198,38 @@ def test_backward_requires_scalar():
         ad.backward(tape, out)
 
 
-def test_double_backward_doubles_gradients():
+def test_a_second_backward_and_a_no_grad_backward_raise_and_change_no_grad():
     a = _var(rng.normal(18, 4).reshape(2, 2))
     tape = ad.Tape()
     loss = ad.sum_all(tape, ad.sigmoid(tape, a))
     ad.backward(tape, loss)
     once = a.grad.copy()
-    ad.backward(tape, loss)
-    assert np.allclose(a.grad, 2.0 * once)
+    idle = ad.Tape(need_grad=False)
+    unrecorded = [
+        (tape, loss),  # already consumed by the first backward
+        (idle, ad.sum_all(idle, ad.sigmoid(idle, a))),
+        (ad.Tape(), _var(np.array(2.0))),  # a leaf, not the output of a record
+    ]
+    for t, y in unrecorded:
+        with pytest.raises(NotRecorded):
+            ad.backward(t, y)
+        assert y.grad is None
+        assert np.array_equal(a.grad, once)
 
 
 def test_a_releasing_backward_frees_each_record_before_earlier_pulls_run():
     a = _var(np.ones(3))
     alive = []  # whether the later record's buffer was alive when the first record's pull ran
-    for retain in (True, False):
-        tape = ad.Tape(retain_graph=retain)
-        first = tape.emit(tensor(np.ones(3)), [(a, lambda g: alive.append(kept() is not None) or g)])
-        buffer = np.full(3, 2.0)
-        kept = weakref.ref(buffer)
-        second = tape.emit(tensor(np.ones(3)), [(first, lambda g, b=buffer: g * b)])
-        del buffer
-        ad.backward(tape, ad.sum_all(tape, second))
-        assert len(tape.records) == (3 if retain else 0)
-    assert alive == [True, False]
-    assert np.array_equal(a.grad, np.full(3, 4.0))
+    tape = ad.Tape()
+    first = tape.emit(tensor(np.ones(3)), [(a, lambda g: alive.append(kept() is not None) or g)])
+    buffer = np.full(3, 2.0)
+    kept = weakref.ref(buffer)
+    second = tape.emit(tensor(np.ones(3)), [(first, lambda g, b=buffer: g * b)])
+    del buffer
+    ad.backward(tape, ad.sum_all(tape, second))
+    assert tape.records == []
+    assert alive == [False]
+    assert np.array_equal(a.grad, np.full(3, 2.0))
 
 
 def test_a_no_grad_tape_records_nothing():
