@@ -267,17 +267,19 @@ def head_probs(tape: Tape, weights: CellWeights, h: Variable) -> Variable:
     return ad.softmax(tape, logits)
 
 
-def _recurrence(tape, spec, weights, xs, lengths, batch, state=None):
+def _recurrence(tape, spec, weights, xs, batch_sizes, batch, state=None, order=None):
     """Run the whole recurrence over xs once; part(name) emits one final state part.
 
-    xs holds the real tokens packed time-major ((Σ lengths, E), or (E,)
-    for one step of one row), lengths is each row's number of steps ((B,);
-    (1,) when batch is None), state None means zeros.  TT kinds first
-    rebuild each gate's dense W with `ad.tt_weight`.  Each part(name) call
-    emits one record holding that part (h, c or y) uncopied; it reads every
-    input in recurrence.run's adjoint order and pulls with None for the
-    other parts' adjoints.  BPTT is linear in them, so the records of
-    several parts add up to the joint gradient.
+    xs holds the real tokens packed time-major with the rows longest first
+    ((Σ lengths, E), or (E,) for one step of one row) and batch_sizes each
+    step's number of running rows.  order[i] is the input row of running
+    row i; None keeps input order, as step, the one caller with a state,
+    does.  state None means zeros.  TT kinds first rebuild each gate's
+    dense W with `ad.tt_weight`.  Each part(name) call emits one record
+    holding that part (h, c or y) in input row order; it reads every input
+    in recurrence.run's adjoint order and pulls with None for the other
+    parts' adjoints.  BPTT is linear in them, so the records of several
+    parts add up to the joint gradient.
     """
     gates = spec.gates
     if spec.tensorized:
@@ -288,7 +290,8 @@ def _recurrence(tape, spec, weights, xs, lengths, batch, state=None):
     bs = [weights[_gate_name("b", g)] if spec.has_bias(g) else None for g in gates]
     head = [weights["head_w"], weights["head_b"]] if spec.family == "jordan" else []
     names = [name for name, _ in _state_parts(spec)]
-    rows = len(lengths)
+    rows = int(batch_sizes[0])
+    run_rows, back = (slice(None),) * 2 if order is None else (order, np.argsort(order))
     if state is None:
         given = []
         state0 = [np.zeros((rows, width)) for _, width in _state_parts(spec)]
@@ -301,13 +304,15 @@ def _recurrence(tape, spec, weights, xs, lengths, batch, state=None):
 
     x = xs.value.array.reshape(-1, spec.embed_dim)
     final, pull = recurrence.run(
-        spec.family, x, lengths, arrays(ws), arrays(us), arrays(bs), state0, arrays(head), tape.need_grad
+        spec.family, x, batch_sizes, arrays(ws), arrays(us), arrays(bs), state0, arrays(head), tape.need_grad
     )
     inputs = [xs, *ws, *us, *(b for b in bs if b is not None), *head, *given]
 
     def part(name):
-        value = final[names.index(name)]
-        solve = ad.shared_pull(lambda g: pull([g.reshape(rows, -1) if n == name else None for n in names]))
+        value = final[names.index(name)][back]
+        solve = ad.shared_pull(
+            lambda g: pull([g.reshape(rows, -1)[run_rows] if n == name else None for n in names])
+        )
         return tape.emit(
             _wrap(value if batch is not None else value.reshape(-1)),
             [(v, lambda g, k=k, v=v: solve(g)[k].reshape(v.value.shape)) for k, v in enumerate(inputs)],
@@ -331,8 +336,7 @@ def step(tape: Tape, spec: CellSpec, weights: CellWeights, x: Variable, state: C
         shape = None if v is None else v.value.shape
         if shape != lead + (width,):
             raise ShapeMismatch("step %s has shape %r, expected %r" % (name, shape, lead + (width,)))
-    lengths = np.ones(1 if batch is None else batch, dtype=np.int64)
-    part = _recurrence(tape, spec, weights, x, lengths, batch, state)
+    part = _recurrence(tape, spec, weights, x, [1 if batch is None else batch], batch, state)
     state = CellState(**{name: part(name) for name, _ in _state_parts(spec)})
     return state, state.y if spec.family == "jordan" else head_probs(tape, weights, state.h)
 
@@ -350,9 +354,9 @@ def run_sequence(
     batch.  mask, if given, has the same shape and must be 1 on a prefix
     of each row (its real tokens) and 0 after it (padding); anything else
     raises ShapeMismatch.  Only the real tokens are embedded and run,
-    packed time-major, so the returned probabilities correspond to each
-    sequence's last real token.  Raises EmptySequence when there is
-    nothing to run.
+    packed time-major with the rows sorted longest first, so the returned
+    probabilities, in input row order, are those of each sequence's last
+    real token.  Raises EmptySequence when there is nothing to run.
     """
     ids = np.asarray(token_ids)
     if ids.dtype.kind not in "iu":
@@ -377,9 +381,10 @@ def run_sequence(
     if lengths.min() == 0:
         raise EmptySequence("sequence with no unmasked tokens")
 
-    xs = ad.embed(tape, weights["embedding"], rows.T[running.T])  # (Σ lengths, E), time-major
+    order = np.argsort(-lengths, kind="stable")  # longest first, ties in input order
+    xs = ad.embed(tape, weights["embedding"], rows[order].T[running[order].T])  # (Σ lengths, E), time-major
     batch = ids.shape[0] if ids.ndim == 2 else None
-    part = _recurrence(tape, spec, weights, xs, lengths, batch)
+    part = _recurrence(tape, spec, weights, xs, running.sum(axis=0)[: lengths.max()], batch, order=order)
     if spec.family == "jordan":  # its head ran inside the recurrence: y is the probabilities
         return part("y")
     return head_probs(tape, weights, part("h"))

@@ -1,9 +1,10 @@
 """Fused recurrences: one forward and one analytic BPTT backward per cell family.
 
 `run` takes a ragged batch packed time-major, as cuDNN and PyTorch pack
-variable-length sequences: x holds only the real tokens, (Σ lengths, E),
-and step t's block is the rows whose length is greater than t, in batch
-order.  It runs one family's recurrence over x without a tape:
+variable-length sequences: the rows run longest first, x holds only the
+real tokens, (Σ lengths, E), and step t runs the first batch_sizes[t]
+rows, a prefix, so each step reads and writes views of its rows.  It runs
+one family's recurrence over x without a tape:
 
 - one hoisted (Σ lengths, E) @ (E, G*H) GEMM gives every step's input
   pre-activations for all G gates, with the biases folded in;
@@ -34,7 +35,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import sigmoid_array
+from .errors import ShapeMismatch
+
+
+def _logistic(z):
+    """The logistic in tanh form, 0.5 * tanh(0.5 z) + 0.5, computed in place over z."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= 0.5
+    z += 0.5
+    return z
+
+
+def _steps(batch_sizes, rows, need_grad):
+    """Each step's (p, q, r) as basic slices, as run describes them."""
+    sizes = [int(n) for n in batch_sizes]
+    if sorted(sizes, reverse=True) != sizes or sum(sizes) != rows:
+        raise ShapeMismatch("batch_sizes %r increase or do not sum to x's %d rows" % (sizes, rows))
+    ends = np.cumsum(sizes).tolist()
+    stores = ends if need_grad else sizes  # packed like x, or a prefix of one (B, width) store
+    return [(slice(e - n, e), slice(s - n, s), slice(0, n)) for e, s, n in zip(ends, stores, sizes)]
 
 
 def _elman(xg, u, state, steps, rows):
@@ -93,9 +113,9 @@ def _gru(xg, u, state, steps, rows):
     ds = np.empty_like(prev)
     for p, q, r in steps:
         prev[q] = hp = h[r]
-        rz[q] = s = sigmoid_array(xg[p, : 2 * n] + hp @ u_rz.T)
+        s = _logistic(np.add(xg[p, : 2 * n], hp @ u_rz.T, out=rz[q]))
         z = s[:, n:]
-        ds[q] = d = np.tanh(xg[p, 2 * n :] + (s[:, :n] * hp) @ u_d.T)
+        d = np.tanh(np.add(xg[p, 2 * n :], (s[:, :n] * hp) @ u_d.T, out=ds[q]), out=ds[q])
         h[r] = (1.0 - z) * hp + z * d
 
     def grads(d_final):
@@ -126,12 +146,11 @@ def _lstm(xg, u, state, steps, rows):
     tcs = np.empty_like(prev_h)
     for p, q, r in steps:
         prev_h[q], prev_c[q] = h[r], c[r]
-        pre = xg[p] + prev_h[q] @ u.T
-        kfo[q] = s = sigmoid_array(pre[:, : 3 * n])
-        gs[q] = g = np.tanh(pre[:, 3 * n :])
+        pre = np.add(xg[p], prev_h[q] @ u.T, out=xg[p])
+        kfo[q] = s = _logistic(pre[:, : 3 * n])
+        g = np.tanh(pre[:, 3 * n :], out=gs[q])
         c[r] = cn = s[:, n : 2 * n] * prev_c[q] + s[:, :n] * g
-        tcs[q] = tc = np.tanh(cn)
-        h[r] = s[:, 2 * n :] * tc
+        np.multiply(s[:, 2 * n :], np.tanh(cn, out=tcs[q]), out=h[r])
 
     def grads(d_final):
         dh, dc = d_final
@@ -155,34 +174,30 @@ def _lstm(xg, u, state, steps, rows):
 _RUN = {"elman": _elman, "jordan": _jordan, "gru": _gru, "lstm": _lstm}
 
 
-def run(family: str, x, lengths, ws, us, bs, state, head=(), need_grad=True):
+def run(family: str, x, batch_sizes, ws, us, bs, state, head=(), need_grad=True):
     """Run one family's recurrence over packed x; return (final state, pull).
 
-    lengths is (B,), each row's number of steps, all >= 1; x is
-    (Σ lengths, E), the real tokens packed time-major (step t's block is
-    the rows with lengths > t, in batch order); ws, us and bs list each
-    gate's W (H, E), U (H, K) and bias (H,) or None; state is the family's
-    list of (B, width) arrays; head is (head_w, head_b) for jordan, else
-    empty.  pull maps the final state's adjoints (a list like state, None
-    standing for zeros) to the adjoints of x (packed like x), each W, each
-    U, each bias that is not None, head and state, as one list in that
-    order.
+    The rows run longest first: batch_sizes lists each step's number of
+    running rows and must never increase, and x is (sum(batch_sizes), E),
+    the real tokens packed time-major, else ShapeMismatch.  ws, us and bs
+    list each gate's W (H, E), U (H, K) and bias (H,) or None; state is
+    the family's list of (B, width) arrays, rows longest first; head is
+    (head_w, head_b) for jordan, else empty.  pull maps the final state's
+    adjoints (a list like state, None standing for zeros) to the adjoints
+    of x (packed like x), each W, each U, each bias that is not None, head
+    and state, as one list in that order.
 
-    Each step is (p, q, r): its packed rows p of x and xg, the rows q of
-    the per-step store it writes, and its batch rows r.  With need_grad
-    the store is packed like x, q == p, and the backward reads it.  Without,
-    pull is None and every step writes the first rows of one (B, width)
-    store, so nothing per token is kept beyond x and xg.
+    Each step is (p, q, r), basic slices: its packed rows p of x and xg,
+    the rows q of the per-step store it writes and its batch rows r, the
+    prefix [:batch_sizes[t]].  With need_grad the store is packed like x,
+    q == p, and the backward reads it.  Without, pull is None and q == r
+    over one (B, width) store, so nothing per token is kept beyond x and xg.
     """
+    steps = _steps(batch_sizes, len(x), need_grad)
     w, u = np.concatenate(ws), np.concatenate(us)
     xg = x @ w.T
     xg += np.concatenate([np.zeros(len(v)) if b is None else b for v, b in zip(ws, bs)])
-    live = [np.flatnonzero(lengths > t) for t in range(lengths.max())]
-    ends = np.cumsum([len(r) for r in live])
-    packed = [slice(end - len(r), end) for end, r in zip(ends, live)]
-    stores = packed if need_grad else [slice(0, len(r)) for r in live]
-    steps = list(zip(packed, stores, live))
-    final, grads = _RUN[family](xg, u, state, steps, len(x) if need_grad else len(lengths), *head)
+    final, grads = _RUN[family](xg, u, state, steps, len(x) if need_grad else len(state[0]), *head)
     if not need_grad:
         return final, None
 

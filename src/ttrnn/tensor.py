@@ -3,7 +3,7 @@
 A DenseTensor is an immutable row-major float64 array with positive
 dims, checked finite on construction.  The numeric work runs on the
 underlying numpy arrays in autodiff and ttcore; this module adds only
-sigmoid_array, the overflow-free logistic that autodiff's sigmoid uses,
+sigmoid_array, the overflow-free logistic that only autodiff.sigmoid uses,
 and WORK_CHUNK, the length of the scratch buffers through which
 rng.normal and training.adam_step stream arrays of any size.
 """

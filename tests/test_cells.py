@@ -356,7 +356,7 @@ def test_forward_only_run_keeps_nothing_per_token_beyond_x_and_xg(kind):
         tracemalloc.stop()
     width = len(spec.gates) * hidden  # a row of xg
     x_and_xg = int(lengths.sum()) * (embed + width) * 8
-    # numpy's 64 KiB ufunc buffer, the per-step row lists and some (B, width) temporaries;
+    # numpy's 64 KiB ufunc buffer, the step descriptors and some (B, width) temporaries;
     # the recording run's BPTT store alone is 1.8x (jordan) to 6.8x (lstm) larger than this
     margin = 2**17 + 16 * rows * width * 8
     assert peak - before <= x_and_xg + margin
@@ -473,6 +473,8 @@ def _rel_close(got, want, rtol=1e-10):
 @example("jordan", [1, 3], 1, 2, True)
 @example("lstm", [1, 5, 3], 0, 3, True)  # rows not in length order
 @example("t_gru", [3, 2], 1, 4, False)  # no candidate bias: one gate's bias adjoint is skipped
+@example("t_gru", [1, 3, 3, 6], 0, 5, True)  # increasing lengths: rows run reversed, the tie in order
+@example("jordan", [2, 4, 2, 4], 1, 6, True)  # tied lengths
 def test_fused_recurrence_matches_the_per_step_tape(kind, lengths, padding, seed, candidate_bias):
     spec = _spec(kind, candidate_bias=candidate_bias)
     weights = init_weights(spec, seed=seed)
@@ -488,6 +490,38 @@ def test_fused_recurrence_matches_the_per_step_tape(kind, lengths, padding, seed
     assert _rel_close(probs, want_probs)
     for name, want in want_grads.items():
         assert _rel_close(grads[name], want), name
+
+
+ORDER_CASES = [
+    ([3, 5, 3, 1, 5, 2], [4, 1, 0, 5, 3, 2]),  # tied lengths and a row of length 1
+    ([4, 4, 4], [2, 0, 1]),  # all lengths equal
+    ([1, 2, 3, 4], [3, 2, 1, 0]),  # increasing lengths, permuted into longest first
+]
+
+
+@pytest.mark.parametrize("lengths,perm", ORDER_CASES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_permuting_the_rows_permutes_the_probabilities_and_keeps_the_gradients(kind, lengths, perm):
+    spec = _spec(kind)
+    weights = init_weights(spec, seed=21)
+    ids, mask = _ragged(len(lengths), max(lengths) + 1, lengths, seed=21)
+    labels = np.arange(len(lengths)) % spec.num_classes
+    fused = lambda tape, s, w, i, m: run_sequence(tape, s, w, i, mask=m)  # noqa: E731
+    probs, grads = _loss_and_grads(fused, spec, weights, ids, mask, labels)
+    got, got_grads = _loss_and_grads(fused, spec, weights, ids[perm], mask[perm], labels[perm])
+    assert np.allclose(got, probs[perm], rtol=1e-12, atol=0.0)
+    free = run_sequence(Tape(need_grad=False), spec, weights, ids[perm], mask=mask[perm])
+    assert np.allclose(free.value.array, probs[perm], rtol=1e-12, atol=0.0)
+    for name, want in grads.items():
+        assert _rel_close(got_grads[name], want), name
+    # rows run longest first and tied rows keep their input order, so the tokens are
+    # embedded in that order, time-major
+    tape = Tape()
+    run_sequence(tape, spec, weights, ids, mask=mask)
+    (embedded,) = [o for o, pulls in tape.records if pulls[0][0] is weights["embedding"]]
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])  # sorted() is stable
+    packed = [ids[i, t] for t in range(max(lengths)) for i in order if t < lengths[i]]
+    assert np.array_equal(embedded.value.array, weights["embedding"].value.array[packed])
 
 
 @pytest.mark.parametrize("kind", ["lstm", "jordan"])
