@@ -12,15 +12,17 @@ Tape(need_grad=False), which records nothing and serves evaluation and
 prediction, raises NotRecorded.  Variables the tape produced keep .grad
 None: their adjoints live only in backward's table.
 
-Values may be single vectors or batches with a leading batch axis; every
-op handles both so sequence models can run whole minibatches through one
-tape.  The cell runner puts only a few records on a tape per batch: the
-embedding lookup, `tt_weight` per tensor-train gate, one fused record
-for the whole recurrence per state part read (cells and recurrence
-modules), the head and the loss.  The per-step ops (sigmoid, tanh, add,
-hadamard, one_minus, blend, tt_linear) remain as the reference the fused
-recurrence is tested against, and because the benchmark tracer
-(perfbench/spans.py) wraps them by name.
+Values may be single vectors or batches with a leading batch axis, so
+sequence models can run whole minibatches through one tape; affine and
+tt_linear run a vector as a one-row batch.  sigmoid and softmax run the
+tensor module's kernels, as the fused recurrence does.  The cell runner
+puts only a few records on a tape per batch: the embedding lookup,
+`tt_weight` per tensor-train gate, one fused record for the whole
+recurrence per state part read (cells and recurrence modules), the head
+and the loss.  The per-step ops (sigmoid, tanh, add, hadamard, one_minus,
+blend, tt_linear) remain as the reference the fused recurrence is tested
+against, and because the benchmark tracer (perfbench/spans.py) wraps
+them by name.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotRecorded, NotScalar, ShapeMismatch
-from .tensor import DenseTensor, _wrap, sigmoid_array
+from .tensor import DenseTensor, _wrap, logistic, softmax_adjoint, softmax_rows
 from .ttcore import (
     _ApplyTrace,
     tt_apply_backward_batch,
@@ -164,7 +166,7 @@ def one_minus(tape: Tape, a: Variable) -> Variable:
 
 
 def sigmoid(tape: Tape, a: Variable) -> Variable:
-    y = sigmoid_array(a.value.array)
+    y = logistic(a.value.array.copy())
     return tape.emit(_wrap(y), [(a, lambda g: g * y * (1.0 - y))])
 
 
@@ -174,7 +176,7 @@ def tanh(tape: Tape, a: Variable) -> Variable:
 
 
 def affine(tape: Tape, w: Variable, x: Variable, b: Variable | None = None) -> Variable:
-    """w @ x (+ b).  x may be a vector (E,) or a batch (B, E); w is (H, E)."""
+    """w @ x (+ b).  x is a batch (B, E) or a vector (E,), run as one row; w is (H, E)."""
     wa = w.value.array
     xa = x.value.array
     if wa.ndim != 2:
@@ -183,56 +185,46 @@ def affine(tape: Tape, w: Variable, x: Variable, b: Variable | None = None) -> V
         raise ShapeMismatch(
             "input shape %r does not match weight %r" % (x.value.shape, w.value.shape)
         )
-    batched = xa.ndim == 2
-    y = xa @ wa.T if batched else wa @ xa
+    h, e = wa.shape
+    x2 = xa.reshape(-1, e)
+    y = x2 @ wa.T
+    pulls = [
+        (w, lambda g: g.reshape(-1, h).T @ x2),
+        (x, lambda g: (g.reshape(-1, h) @ wa).reshape(xa.shape)),
+    ]
     if b is not None:
         ba = b.value.array
-        if ba.shape != (wa.shape[0],):
-            raise ShapeMismatch(
-                "bias shape %r does not match weight rows %d" % (b.value.shape, wa.shape[0])
-            )
-        y = y + ba
-    if batched:
-        pulls = [(w, lambda g: g.T @ xa), (x, lambda g: g @ wa)]
-        if b is not None:
-            pulls.append((b, lambda g: g.sum(axis=0)))
-    else:
-        pulls = [(w, lambda g: np.outer(g, xa)), (x, lambda g: wa.T @ g)]
-        if b is not None:
-            pulls.append((b, lambda g: g))
-    return tape.emit(_wrap(y), pulls)
+        if ba.shape != (h,):
+            raise ShapeMismatch("bias shape %r does not match weight rows %d" % (b.value.shape, h))
+        y += ba
+        pulls.append((b, lambda g: g.reshape(-1, h).sum(axis=0)))
+    return tape.emit(_wrap(y.reshape(xa.shape[:-1] + (h,))), pulls)
 
 
 def tt_linear(tape: Tape, cores, facto, ranks, x: Variable) -> Variable:
     """Apply a tensor-train matrix held as per-core Variables.
 
     cores is a sequence of Variables shaped like TTMatrix cores.  x may be
-    (N,) or (B, N); the result is (M,) or (B, M).  All core gradients and
-    the input gradient come from one shared reverse contraction.
+    (B, N), giving (B, M), or (N,), run as one row, giving (M,).  All core
+    gradients and the input gradient come from one reverse contraction.
     """
     xa = x.value.array
     if xa.ndim not in (1, 2) or xa.shape[-1] != facto.cols:
         raise ShapeMismatch(
             "input shape %r does not match tt matrix cols %d" % (x.value.shape, facto.cols)
         )
-    batched = xa.ndim == 2
-    x2d = xa if batched else xa.reshape(1, -1)
     arrays = [c.value.array for c in cores]
     trace = _ApplyTrace()
-    y2d = tt_apply_batch(arrays, facto.in_modes, ranks, x2d, trace)
-    out = _wrap(y2d if batched else y2d.reshape(-1))
+    y = tt_apply_batch(arrays, facto.in_modes, ranks, xa.reshape(-1, facto.cols), trace)
 
     @shared_pull
     def solve(g):
-        g2d = g if batched else g.reshape(1, -1)
-        return tt_apply_backward_batch(arrays, facto.in_modes, ranks, trace, g2d)
+        g2 = g.reshape(-1, facto.rows)
+        return tt_apply_backward_batch(arrays, facto.in_modes, ranks, trace, g2)
 
     pulls = [(c, lambda g, k=k: solve(g)[0][k]) for k, c in enumerate(cores)]
-    if batched:
-        pulls.append((x, lambda g: solve(g)[1]))
-    else:
-        pulls.append((x, lambda g: solve(g)[1].reshape(-1)))
-    return tape.emit(out, pulls)
+    pulls.append((x, lambda g: solve(g)[1].reshape(xa.shape)))
+    return tape.emit(_wrap(y.reshape(xa.shape[:-1] + (facto.rows,))), pulls)
 
 
 def tt_weight(tape: Tape, cores, facto) -> Variable:
@@ -292,21 +284,8 @@ def blend(tape: Tape, mask, a: Variable, b: Variable) -> Variable:
 
 
 def softmax(tape: Tape, a: Variable) -> Variable:
-    za = a.value.array
-    shifted = za - za.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def pull(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - dot)
-
-    return tape.emit(_wrap(y), [(a, pull)])
-
-
-def sum_all(tape: Tape, a: Variable) -> Variable:
-    out = _wrap(np.array(a.value.array.sum()))
-    return tape.emit(out, [(a, lambda g: np.full(a.value.shape, float(g)))])
+    y = softmax_rows(a.value.array.copy())
+    return tape.emit(_wrap(y), [(a, lambda g: softmax_adjoint(y, g))])
 
 
 def cross_entropy_mean(tape: Tape, probs: Variable, labels) -> Variable:

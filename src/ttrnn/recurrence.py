@@ -28,7 +28,7 @@ are bitwise those of a training run.
 Families and their state: elman (h), jordan (h, y; the class head runs
 inside the recurrence and y feeds back), gru (h), lstm (h, c).  Gates come
 in CellSpec order (gru r, z, d; lstm k, f, o, g); only this module stacks
-them.
+them.  The logistic and jordan's softmax are the tensor module's kernels.
 """
 
 from __future__ import annotations
@@ -36,15 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-
-
-def _logistic(z):
-    """The logistic in tanh form, 0.5 * tanh(0.5 z) + 0.5, computed in place over z."""
-    z *= 0.5
-    np.tanh(z, out=z)
-    z *= 0.5
-    z += 0.5
-    return z
+from .tensor import logistic, softmax_adjoint, softmax_rows
 
 
 def _steps(batch_sizes, rows, need_grad):
@@ -84,17 +76,14 @@ def _jordan(xg, u, state, steps, rows, head_w, head_b):
     for p, q, r in steps:
         prev_y[q] = y[r]
         hs[q] = h[r] = np.tanh(xg[p] + prev_y[q] @ u.T)
-        logits = hs[q] @ head_w.T + head_b
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        ys[q] = y[r] = e / e.sum(axis=-1, keepdims=True)
+        ys[q] = y[r] = softmax_rows(hs[q] @ head_w.T + head_b)
 
     def grads(d_final):
         dh, dy = d_final
         da = xg
         dlogits = np.empty_like(ys)
         for p, q, r in reversed(steps):
-            yq, dyn = ys[q], dy[r]
-            dlogits[q] = dl = yq * (dyn - (dyn * yq).sum(axis=-1, keepdims=True))
+            dlogits[q] = dl = softmax_adjoint(ys[q], dy[r])
             da[p] = a = (dh[r] + dl @ head_w) * (1.0 - hs[q] * hs[q])
             dy[r] = a @ u
             dh[r] = 0.0  # h does not feed back, so it reaches no earlier step
@@ -113,7 +102,7 @@ def _gru(xg, u, state, steps, rows):
     ds = np.empty_like(prev)
     for p, q, r in steps:
         prev[q] = hp = h[r]
-        s = _logistic(np.add(xg[p, : 2 * n], hp @ u_rz.T, out=rz[q]))
+        s = logistic(np.add(xg[p, : 2 * n], hp @ u_rz.T, out=rz[q]))
         z = s[:, n:]
         d = np.tanh(np.add(xg[p, 2 * n :], (s[:, :n] * hp) @ u_d.T, out=ds[q]), out=ds[q])
         h[r] = (1.0 - z) * hp + z * d
@@ -147,7 +136,7 @@ def _lstm(xg, u, state, steps, rows):
     for p, q, r in steps:
         prev_h[q], prev_c[q] = h[r], c[r]
         pre = np.add(xg[p], prev_h[q] @ u.T, out=xg[p])
-        kfo[q] = s = _logistic(pre[:, : 3 * n])
+        kfo[q] = s = logistic(pre[:, : 3 * n])
         g = np.tanh(pre[:, 3 * n :], out=gs[q])
         c[r] = cn = s[:, n : 2 * n] * prev_c[q] + s[:, :n] * g
         np.multiply(s[:, 2 * n :], np.tanh(cn, out=tcs[q]), out=h[r])

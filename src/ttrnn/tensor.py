@@ -1,11 +1,12 @@
-"""Dense tensor value type, the stable logistic and the work-buffer size.
+"""Dense tensor value type, the shared numeric kernels and the work-buffer size.
 
 A DenseTensor is an immutable row-major float64 array with positive
 dims, checked finite on construction.  The numeric work runs on the
-underlying numpy arrays in autodiff and ttcore; this module adds only
-sigmoid_array, the overflow-free logistic that only autodiff.sigmoid uses,
-and WORK_CHUNK, the length of the scratch buffers through which
-rng.normal and training.adam_step stream arrays of any size.
+underlying numpy arrays in autodiff, recurrence and ttcore; this module
+adds the one kernel of each formula autodiff and recurrence share
+(logistic, softmax_rows, softmax_adjoint) and WORK_CHUNK, the length of
+the scratch buffers through which rng.normal and training.adam_step
+stream arrays of any size.
 """
 
 from __future__ import annotations
@@ -56,13 +57,6 @@ class DenseTensor:
     def size(self) -> int:
         return self.array.size
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.array.reshape(-1)
-
-    def tolist(self):
-        return self.array.tolist()
-
     def __repr__(self):
         return "DenseTensor(shape=%r)" % (self.shape,)
 
@@ -86,8 +80,23 @@ def tensor(values) -> DenseTensor:
     return DenseTensor(values)
 
 
-def sigmoid_array(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic: never exponentiates a positive argument."""
-    e = np.exp(-np.abs(z))
-    r = 1.0 / (1.0 + e)
-    return np.where(z >= 0, r, e * r)
+def logistic(z: np.ndarray) -> np.ndarray:
+    """The logistic in tanh form, 0.5 * tanh(0.5 z) + 0.5, computed in place over z."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= 0.5
+    z += 0.5
+    return z
+
+
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place over z, max-shifted so exp never overflows."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def softmax_adjoint(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint of the softmax input, given its output y and the output adjoint g."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))

@@ -320,10 +320,9 @@ def evaluate_model(spec: CellSpec, weights: CellWeights, encoded) -> MetricsRepo
         raise EmptyTestSet("no examples to evaluate")
     probs = model_probabilities(spec, weights, encoded)
     labels = np.array([e.class_id for e in encoded], dtype=np.int64)
+    nll = ad.cross_entropy_mean(Tape(need_grad=False), Variable(_wrap(probs)), labels)
     preds = np.argmax(probs, axis=1)
-    picked = probs[np.arange(len(encoded)), labels] + 1e-12
-    loss = float(-np.log(picked).mean())
-    return evaluate_metrics(labels, preds, spec.num_classes, loss=loss)
+    return evaluate_metrics(labels, preds, spec.num_classes, loss=float(nll.value.array))
 
 
 # ---------------------------------------------------------------------------

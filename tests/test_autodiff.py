@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reftape import sum_all
 from ttrnn import autodiff as ad
 from ttrnn import rng
 from ttrnn.errors import NotRecorded, NotScalar, ShapeMismatch
@@ -46,6 +47,21 @@ def _fd_check(build, variables, h=1e-6, tol=1e-5):
             assert abs(fd - got) <= tol * max(1.0, abs(fd)), (i, fd, got)
 
 
+def _assert_a_vector_runs_as_one_row(build, v):
+    """build(tape, x) -> (y, leaves) gives on the vector v what it gives on v as a one-row batch."""
+    runs = []
+    for x in (_var(v), _var(v.reshape(1, -1))):
+        tape = ad.Tape()
+        y, leaves = build(tape, x)
+        ad.zero_grads(leaves)
+        probe = _var(np.arange(1.0, y.value.size + 1).reshape(y.value.shape))
+        ad.backward(tape, sum_all(tape, ad.hadamard(tape, y, probe)))
+        runs.append([y.value.array] + [leaf.grad for leaf in leaves + [x]])
+    for one, row in zip(*runs):
+        assert np.array_equal(one, row.reshape(one.shape))
+    assert runs[0][0].shape == runs[1][0].shape[1:] and runs[0][-1].shape == v.shape
+
+
 def test_elementwise_chain_gradient():
     a = _var(rng.normal(1, 6).reshape(2, 3))
     b = _var(rng.normal(2, 6).reshape(2, 3))
@@ -54,7 +70,7 @@ def test_elementwise_chain_gradient():
         x, y = vs
         z = ad.hadamard(tape, ad.sigmoid(tape, x), ad.tanh(tape, y))
         z = ad.add(tape, z, ad.one_minus(tape, x))
-        return ad.sum_all(tape, z)
+        return sum_all(tape, z)
 
     _fd_check(build, [a, b])
 
@@ -66,7 +82,7 @@ def test_affine_vector_and_batch_gradients():
 
     def build(tape, vs):
         wv, xv, bv = vs
-        return ad.sum_all(tape, ad.tanh(tape, ad.affine(tape, wv, xv, bv)))
+        return sum_all(tape, ad.tanh(tape, ad.affine(tape, wv, xv, bv)))
 
     _fd_check(build, [w, x, b])
 
@@ -74,9 +90,12 @@ def test_affine_vector_and_batch_gradients():
 
     def build_batch(tape, vs):
         wv, xv, bv = vs
-        return ad.sum_all(tape, ad.sigmoid(tape, ad.affine(tape, wv, xv, bv)))
+        return sum_all(tape, ad.sigmoid(tape, ad.affine(tape, wv, xv, bv)))
 
     _fd_check(build_batch, [w, xb, b])
+    _assert_a_vector_runs_as_one_row(
+        lambda tape, xv: (ad.affine(tape, w, xv, b), [w, b]), x.value.array
+    )
 
 
 def test_tt_linear_gradient_and_sharing():
@@ -92,10 +111,13 @@ def test_tt_linear_gradient_and_sharing():
         # use the same cores twice so shared reverse contractions are exercised
         y2 = ad.tt_linear(tape, [c0, c1], facto, tt.ranks, xv)
         yv = ad.tt_linear(tape, [c0, c1], facto, tt.ranks, vv)
-        batch = ad.sum_all(tape, ad.hadamard(tape, ad.tanh(tape, y), ad.sigmoid(tape, y2)))
-        return ad.add(tape, batch, ad.sum_all(tape, ad.tanh(tape, yv)))
+        batch = sum_all(tape, ad.hadamard(tape, ad.tanh(tape, y), ad.sigmoid(tape, y2)))
+        return ad.add(tape, batch, sum_all(tape, ad.tanh(tape, yv)))
 
     _fd_check(build, cores + [x, v], tol=1e-4)
+    _assert_a_vector_runs_as_one_row(
+        lambda tape, xv: (ad.tt_linear(tape, cores, facto, tt.ranks, xv), cores), v.value.array
+    )
 
 
 def test_tt_linear_matches_dense_affine():
@@ -131,7 +153,7 @@ def test_tt_weight_core_gradients_match_the_contraction(modes, interior, rows, s
     tape = ad.Tape()
     w = ad.tt_weight(tape, cores, facto)
     assert np.allclose(w.value.array, reconstruct(tt).array, rtol=0, atol=1e-13)
-    loss = ad.sum_all(tape, ad.hadamard(tape, w, _var(dy.T @ x)))  # d loss / d w = dy^T x
+    loss = sum_all(tape, ad.hadamard(tape, w, _var(dy.T @ x)))  # d loss / d w = dy^T x
     ad.backward(tape, loss)
     for core, g in zip(cores, want):
         assert core.grad.shape == g.shape
@@ -143,7 +165,7 @@ def test_embed_scatter_gradient_accumulates_repeats():
     ids = np.array([[1, 1, 4], [0, 2, 1]])
     tape = ad.Tape()
     out = ad.embed(tape, table, ids)
-    loss = ad.sum_all(tape, out)
+    loss = sum_all(tape, out)
     ad.backward(tape, loss)
     expected = np.zeros((5, 2))
     for row in ids:
@@ -160,7 +182,7 @@ def test_blend_freezes_masked_positions():
     out = ad.blend(tape, mask, keep, drop)
     assert np.array_equal(out.value.array[0], keep.value.array[0])
     assert np.array_equal(out.value.array[1], drop.value.array[1])
-    ad.backward(tape, ad.sum_all(tape, out))
+    ad.backward(tape, sum_all(tape, out))
     assert np.array_equal(keep.grad, np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert np.array_equal(drop.grad, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
@@ -173,7 +195,7 @@ def test_softmax_rows_sum_to_one_and_gradient():
 
     def build(tape_, vs):
         p = ad.softmax(tape_, vs[0])
-        return ad.sum_all(tape_, ad.hadamard(tape_, p, p))
+        return sum_all(tape_, ad.hadamard(tape_, p, p))
 
     _fd_check(build, [_var(a.value.array)])
 
@@ -201,13 +223,13 @@ def test_backward_requires_scalar():
 def test_a_second_backward_and_a_no_grad_backward_raise_and_change_no_grad():
     a = _var(rng.normal(18, 4).reshape(2, 2))
     tape = ad.Tape()
-    loss = ad.sum_all(tape, ad.sigmoid(tape, a))
+    loss = sum_all(tape, ad.sigmoid(tape, a))
     ad.backward(tape, loss)
     once = a.grad.copy()
     idle = ad.Tape(need_grad=False)
     unrecorded = [
         (tape, loss),  # already consumed by the first backward
-        (idle, ad.sum_all(idle, ad.sigmoid(idle, a))),
+        (idle, sum_all(idle, ad.sigmoid(idle, a))),
         (ad.Tape(), _var(np.array(2.0))),  # a leaf, not the output of a record
     ]
     for t, y in unrecorded:
@@ -226,7 +248,7 @@ def test_a_releasing_backward_frees_each_record_before_earlier_pulls_run():
     kept = weakref.ref(buffer)
     second = tape.emit(tensor(np.ones(3)), [(first, lambda g, b=buffer: g * b)])
     del buffer
-    ad.backward(tape, ad.sum_all(tape, second))
+    ad.backward(tape, sum_all(tape, second))
     assert tape.records == []
     assert alive == [False]
     assert np.array_equal(a.grad, np.full(3, 2.0))
@@ -235,7 +257,7 @@ def test_a_releasing_backward_frees_each_record_before_earlier_pulls_run():
 def test_a_no_grad_tape_records_nothing():
     a = _var(np.ones(3))
     tape = ad.Tape(need_grad=False)
-    y = ad.sum_all(tape, ad.sigmoid(tape, a))
+    y = sum_all(tape, ad.sigmoid(tape, a))
     assert tape.records == [] and not tape.need_grad
     assert np.allclose(y.value.array, 3.0 / (1.0 + np.exp(-1.0)))
 
@@ -243,7 +265,7 @@ def test_a_no_grad_tape_records_nothing():
 def test_zero_grads_and_add_grad_shape_guard():
     a = _var(np.ones(3))
     tape = ad.Tape()
-    ad.backward(tape, ad.sum_all(tape, a))
+    ad.backward(tape, sum_all(tape, a))
     assert np.array_equal(a.grad, np.ones(3))
     ad.zero_grads([a])
     assert a.grad is None
@@ -256,7 +278,7 @@ def test_leaves_fed_by_one_add_never_share_a_grad():
         a, b = _var(np.full(shape, 2.0)), _var(np.full(shape, -1.0))
         tape = ad.Tape()
         total = ad.add(tape, a, b)
-        ad.backward(tape, total if shape == () else ad.sum_all(tape, total))
+        ad.backward(tape, total if shape == () else sum_all(tape, total))
         assert a.grad is not b.grad
         assert not np.shares_memory(a.grad, b.grad)
         assert np.array_equal(a.grad, np.ones(shape)) and np.array_equal(b.grad, np.ones(shape))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reftape import sum_all
 from ttrnn import autodiff as ad
 from ttrnn import rng
 from ttrnn.autodiff import Tape, Variable
@@ -544,7 +545,7 @@ def test_two_chained_steps_gradient_finite_difference(kind):
             state, probs = step(tape, spec, CellWeights(spec, values), x, state)
         loss = ad.cross_entropy_mean(tape, probs, labels)
         for name, probe in probes.items():  # every part of the final state counts
-            part = ad.sum_all(tape, ad.hadamard(tape, getattr(state, name), Variable(probe)))
+            part = sum_all(tape, ad.hadamard(tape, getattr(state, name), Variable(probe)))
             loss = ad.add(tape, loss, part)
         return tape, loss
 

@@ -199,7 +199,7 @@ def test_load_matrix_csv(tmp_path):
     p.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
     m = load_matrix(str(p))
     assert m.shape == (2, 2)
-    assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert m.array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     single = tmp_path / "row.csv"
     single.write_text("5.0,6.0,7.0\n", encoding="utf-8")
     assert load_matrix(str(single)).shape == (1, 3)
@@ -213,7 +213,7 @@ def test_load_matrix_npy_takes_real_dtypes_only(tmp_path):
     p = tmp_path / "m.npy"
     for arr in (np.arange(6).reshape(2, 3), np.eye(2, dtype=np.float32), np.eye(2, dtype=bool)):
         np.save(p, arr)
-        assert load_matrix(str(p)).tolist() == arr.astype(np.float64).tolist()
+        assert load_matrix(str(p)).array.tolist() == arr.astype(np.float64).tolist()
     for arr in (np.eye(2) * 1j, np.array([["a", "b"]]), np.zeros((2, 2), dtype="<M8[D]")):
         np.save(p, arr)
         with pytest.raises(ParseError):

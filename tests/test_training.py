@@ -444,6 +444,9 @@ def test_evaluate_model_reproduces_stored_test_metrics(tiny_corpus, tiny_bundle)
     data = prepare_dataset(tiny_corpus, config, task=bundle.task)
     report = evaluate_model(bundle.spec, bundle.weights, data.test)
     assert report.to_dict() == bundle.metrics["test"]
+    probs = training.model_probabilities(bundle.spec, bundle.weights, data.test)
+    nll = ad.cross_entropy_mean(Tape(), Variable(tensor(probs)), [e.class_id for e in data.test])
+    assert report.loss == float(nll.value.array)
 
 
 def test_recorded_test_set_replays_only_the_training_corpus(tiny_corpus, tiny_bundle):
