@@ -25,7 +25,8 @@ recurrence with one record per state part, so chained steps stay
 differentiable.
 
 Gate naming: gru uses r (reset), z (update), d (candidate); lstm uses
-k (input), f (forget), o (output), g (candidate).
+k (input), f (forget), o (output), g (candidate).  A CellSpec is stored by
+the rule of ttrnn.records, so a field added with a default reads old files.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from . import recurrence, rng
+from . import records, recurrence, rng
 from .autodiff import Tape, Variable
 from .errors import EmptySequence, ShapeMismatch
 from .tensor import _wrap
@@ -79,8 +80,8 @@ class CellSpec:
             ("hidden_dim", self.hidden_dim),
             ("num_classes", self.num_classes),
         ):
-            if int(n) < 1:
-                raise ShapeMismatch("%s must be >= 1, got %r" % (label, n))
+            if not isinstance(n, int) or n < 1:
+                raise ShapeMismatch("%s must be an integer >= 1, got %r" % (label, n))
         if self.tensorized:
             if self.tt_out_modes is None or self.tt_in_modes is None or self.tt_ranks is None:
                 raise ShapeMismatch(
@@ -124,33 +125,11 @@ class CellSpec:
         return True
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "num_classes": self.num_classes,
-            "candidate_bias": self.candidate_bias,
-        }
-        if self.tensorized:
-            out["tt_out_modes"] = list(self.tt_out_modes)
-            out["tt_in_modes"] = list(self.tt_in_modes)
-            out["tt_ranks"] = list(self.tt_ranks)
-        return out
+        return records.to_dict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "CellSpec":
-        return CellSpec(
-            kind=d["kind"],
-            vocab_size=int(d["vocab_size"]),
-            embed_dim=int(d["embed_dim"]),
-            hidden_dim=int(d["hidden_dim"]),
-            num_classes=int(d["num_classes"]),
-            tt_out_modes=tuple(d["tt_out_modes"]) if "tt_out_modes" in d else None,
-            tt_in_modes=tuple(d["tt_in_modes"]) if "tt_in_modes" in d else None,
-            tt_ranks=tuple(d["tt_ranks"]) if "tt_ranks" in d else None,
-            candidate_bias=bool(d.get("candidate_bias", True)),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "CellSpec":
+        return records.from_dict(cls, d)
 
 
 def _gate_name(base: str, gate: str) -> str:

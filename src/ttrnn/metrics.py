@@ -4,7 +4,8 @@ All ratios are formed from integer counts with exact rational arithmetic
 and converted to float once at the end, so results are independent of
 accumulation order and can be compared exactly against any oracle that
 counts the same way.  Zero denominators yield 0 by convention, which
-keeps every metric total and inside [0, 1].
+keeps every metric total and inside [0, 1].  A MetricsReport is stored by
+the rule of ttrnn.records.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import records
 from .errors import EmptyTestSet, LabelOutOfRange
 
 
@@ -96,35 +98,15 @@ class MetricsReport:
     loss: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "precision": list(self.precision),
-            "recall": list(self.recall),
-            "f1": list(self.f1),
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "accuracy": self.accuracy,
-        }
-        if self.loss is not None:
-            out["loss"] = self.loss
-        return out
+        return records.to_dict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "MetricsReport":
-        return MetricsReport(
-            precision=tuple(d["precision"]),
-            recall=tuple(d["recall"]),
-            f1=tuple(d["f1"]),
-            macro_f1=d["macro_f1"],
-            micro_f1=d["micro_f1"],
-            accuracy=d["accuracy"],
-            loss=d.get("loss"),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "MetricsReport":
+        return records.from_dict(cls, d)
 
 
 def report_from_counts(counts: ConfusionCounts, loss: float | None = None) -> MetricsReport:
     c_count = counts.num_classes
-    p = [_ratio(counts.tp[c], counts.tp[c] + counts.fp[c]) for c in range(c_count)]
-    r = [_ratio(counts.tp[c], counts.tp[c] + counts.fn[c]) for c in range(c_count)]
     f = [_f1_fraction(counts.tp[c], counts.fp[c], counts.fn[c]) for c in range(c_count)]
     macro = sum(f, Fraction(0)) / c_count
     pooled_tp = sum(counts.tp)
@@ -133,8 +115,8 @@ def report_from_counts(counts: ConfusionCounts, loss: float | None = None) -> Me
     micro = _ratio(2 * pooled_tp, 2 * pooled_tp + pooled_fp + pooled_fn)
     accuracy = _ratio(pooled_tp, counts.total)
     return MetricsReport(
-        precision=tuple(float(x) for x in p),
-        recall=tuple(float(x) for x in r),
+        precision=tuple(precision(counts, c) for c in range(c_count)),
+        recall=tuple(recall(counts, c) for c in range(c_count)),
         f1=tuple(float(x) for x in f),
         macro_f1=float(macro),
         micro_f1=float(micro),

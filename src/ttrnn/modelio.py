@@ -6,8 +6,10 @@ float64 count, the raw little-endian float64 blob of every weight in the
 order the manifest declares, and a trailing CRC-32 over all preceding
 bytes.  The manifest embeds the vocabulary (with its own CRC-32) so a
 model file is self-contained for prediction; floats round-trip bitwise.
-Loading raises ChecksumMismatch when the bytes do not fit together and
-ParseError when a CRC-valid manifest or weight is malformed.
+The cell spec, vocabulary and metrics records are written and read by the
+one rule of ttrnn.records.  Loading raises ChecksumMismatch when the bytes
+do not fit together, the vocabulary's size included, and ParseError when a
+CRC-valid manifest or weight is malformed.
 """
 
 from __future__ import annotations
@@ -178,6 +180,10 @@ def load_model(path: str) -> ModelBundle:
         vocab = Vocabulary.from_dict(manifest["vocab"])
         if vocab_crc32(vocab) != manifest["vocab_crc32"]:
             raise ChecksumMismatch("vocabulary failed its integrity check")
+        # building the token index here makes an unhashable token a ParseError, not a
+        # crash in predict
+        if vocab.size != spec.vocab_size or len(vocab.token_to_id) != len(vocab.tokens):
+            raise ChecksumMismatch("vocabulary does not match the declared cell")
         labels = tuple(manifest["labels"])
         if len(labels) != spec.num_classes:
             raise ChecksumMismatch("label list does not match the declared cell")

@@ -9,6 +9,7 @@ the table pass through unchanged.
 
 The cleaner is idempotent: feeding its output back through produces the
 same string, which is what makes cached cleaned corpora safe to re-clean.
+Cleaned JSONL lines and vocabularies are stored by the rule of ttrnn.records.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
+from . import records
 from .errors import (
     DuplicateId,
     EmptyAfterEncoding,
@@ -118,7 +121,7 @@ class RawExample:
 
 
 @dataclass(frozen=True)
-class CleanExample:
+class CleanExample:  # the field order is the key order of a cleaned JSONL line
     id: str
     clean_text: str
     hashtags: tuple
@@ -166,12 +169,12 @@ def tokenize(clean_text: str):
 class Vocabulary:
     tokens: tuple  # real tokens in id order, starting at id 2
     min_count: int
+    # no default, so to_dict writes it even as null: stored vocabulary CRCs cover it
     max_size: int | None
-    token_to_id: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self):
-        mapping = {tok: i + 2 for i, tok in enumerate(self.tokens)}
-        object.__setattr__(self, "token_to_id", mapping)
+    @cached_property
+    def token_to_id(self) -> dict:
+        return {tok: i + 2 for i, tok in enumerate(self.tokens)}
 
     @property
     def size(self) -> int:
@@ -181,19 +184,11 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
     def to_dict(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "min_count": self.min_count,
-            "max_size": self.max_size,
-        }
+        return records.to_dict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "Vocabulary":
-        return Vocabulary(
-            tokens=tuple(d["tokens"]),
-            min_count=int(d["min_count"]),
-            max_size=d["max_size"] if d["max_size"] is None else int(d["max_size"]),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "Vocabulary":
+        return records.from_dict(cls, d)
 
 
 def build_vocab(corpus, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
@@ -378,17 +373,7 @@ def load_predictions(path: str) -> dict:
 
 
 def clean_jsonl_line(ex: CleanExample) -> str:
-    return json.dumps(
-        {
-            "id": ex.id,
-            "clean_text": ex.clean_text,
-            "hashtags": list(ex.hashtags),
-            "emotion_label": ex.emotion_label,
-            "sentiment_label": ex.sentiment_label,
-        },
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    return json.dumps(records.to_dict(ex), ensure_ascii=False, separators=(",", ":"))
 
 
 def write_clean_jsonl(examples, f):
@@ -399,8 +384,7 @@ def write_clean_jsonl(examples, f):
 def load_clean_jsonl(path: str) -> list:
     out = []
     seen = set()
-    fields = ("id", "clean_text", "hashtags", "emotion_label", "sentiment_label")
-    for line_no, obj in _jsonl_records(path, fields):
+    for line_no, obj in _jsonl_records(path, [f.name for f in fields(CleanExample)]):
         if not isinstance(obj["clean_text"], str):
             raise ParseError("clean_text must be a string", line=line_no)
         tags = obj["hashtags"]

@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 import struct
@@ -27,6 +28,16 @@ def seal_container(manifest: bytes, count: int, blob: bytes) -> bytes:
 
     body = MAGIC + struct.pack("<I", len(manifest)) + manifest + struct.pack("<Q", count) + blob
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def edit_manifest(raw: bytes, edit) -> bytes:
+    """A model container with `edit` applied to its manifest dict and both CRCs made valid."""
+    manifest, count, blob = split_container(raw)
+    m = json.loads(manifest)
+    edit(m)
+    compact = dict(sort_keys=True, separators=(",", ":"))
+    m["vocab_crc32"] = zlib.crc32(json.dumps(m["vocab"], **compact).encode("utf-8"))
+    return seal_container(json.dumps(m, **compact).encode("utf-8"), count, blob)
 
 
 def run_cli(args, cwd=None, env_extra=None):

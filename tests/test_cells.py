@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -122,10 +123,18 @@ def test_spec_rejects_inconsistent_modes():
         _spec("gru", tt_out_modes=(2, 2, 2))
 
 
+@pytest.mark.parametrize("dims", [dict(hidden_dim=8.0), dict(embed_dim="8"), dict(num_classes=0)])
+def test_spec_rejects_sizes_that_are_not_positive_integers(dims):
+    for kind in ("gru", "t_gru"):
+        with pytest.raises(ShapeMismatch):
+            _spec(kind, **dims)
+
+
 def test_spec_dict_round_trip():
-    for kind in ("gru", "t_lstm", "jordan"):
-        spec = _spec(kind)
+    # through JSON text too, where a tuple comes back as a list
+    for spec in [_spec(kind) for kind in KINDS] + [_spec("t_gru", candidate_bias=False)]:
         assert CellSpec.from_dict(spec.to_dict()) == spec
+        assert CellSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 # ---------------------------------------------------------------------------

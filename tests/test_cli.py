@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, data_path, run_cli, seal_container, split_container
+from conftest import DATA_DIR, data_path, edit_manifest, run_cli, seal_container, split_container
 
 
 def _subcommands():
@@ -524,6 +524,11 @@ def test_importing_the_cli_loads_no_openssl_hashing():
     assert proc.stdout.strip() == "False"
 
 
+def _resealed(edit):
+    """The case that applies `edit` to the manifest dict and reseals both CRCs."""
+    return lambda m, c, b: split_container(edit_manifest(seal_container(m, c, b), edit))
+
+
 # each maps (manifest, count, blob) of a good model to a CRC-valid bad one
 MALFORMED_MODELS = {
     "manifest-not-json": lambda m, c, b: (b"{not json", c, b),
@@ -532,6 +537,9 @@ MALFORMED_MODELS = {
     "manifest-without-weights": _without_weights,
     "count-beyond-file": lambda m, c, b: (m, 10**6, b),
     "nan-weight": lambda m, c, b: (m, c, struct.pack("<d", float("nan")) + b[8:]),
+    "vocab-cut": _resealed(lambda m: m["vocab"].update(tokens=m["vocab"]["tokens"][:5])),
+    "vocab-grown": _resealed(lambda m: m["vocab"]["tokens"].append("brandnew")),
+    "cell-size-float": _resealed(lambda m: m["cell"].update(hidden_dim=8.0)),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -111,9 +112,11 @@ def test_empty_set_rejected():
 
 def test_report_dict_round_trip():
     report = evaluate([0, 1, 2, 1], [0, 2, 2, 1], num_classes=3, loss=0.25)
-    again = MetricsReport.from_dict(report.to_dict())
-    assert again == report
     no_loss = evaluate([0, 1], [0, 1], num_classes=2)
+    for r in (report, no_loss):
+        assert MetricsReport.from_dict(r.to_dict()) == r
+        # through JSON text too, where a tuple comes back as a list
+        assert MetricsReport.from_dict(json.loads(json.dumps(r.to_dict()))) == r
     assert "loss" not in no_loss.to_dict()
     assert MetricsReport.from_dict(no_loss.to_dict()).loss is None
 

@@ -2,13 +2,14 @@ import copy
 import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seal_container, split_container
+from conftest import data_path, edit_manifest, seal_container, split_container
 from ttrnn.errors import (
     ChecksumMismatch,
     FormatVersionMismatch,
@@ -23,6 +24,8 @@ from ttrnn.modelio import (
     save_model,
     save_ttmatrix,
 )
+from ttrnn.textpipe import clean_tweet, encode, tokenize
+from ttrnn.training import model_probabilities
 from ttrnn.ttcore import ModeFactorization, random_tt, reconstruct
 
 
@@ -94,6 +97,59 @@ def test_future_format_version_rejected_with_details(tmp_path, tiny_bundle):
         load_model(str(p))
     assert err.value.found == 99
     assert err.value.supported == 1
+
+
+# Model files written by an earlier release, by
+# train(TrainConfig(epochs_max=2, early_stop_patience=0, seed=5, hidden_dim=8,
+# embed_dim=8, max_len=12), corpus, kind) on the cleaned make_dataset(100, seed=3),
+# t_gru with modes (2, 2, 2) x (2, 2, 2) and rank 2; with the probabilities they
+# gave for "so happy today".
+PINNED_MODELS = {
+    "gru.ttrn": (
+        0.14987883794444734, 0.151304846886222, 0.15977188892355323,
+        0.18345705005144974, 0.14399459227421899, 0.21159278392010866,
+    ),
+    "t-gru.ttrn": (
+        0.16006448616613014, 0.16855888018930576, 0.14419138397822515,
+        0.15306678954364233, 0.19846709202130614, 0.17565136810139045,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+def test_committed_model_files_load_predict_and_resave_unchanged(tmp_path, name):
+    raw = Path(data_path(name)).read_bytes()
+    bundle = load_model(data_path(name))
+    save_model(bundle, str(tmp_path / "again.ttrn"))
+    assert (tmp_path / "again.ttrn").read_bytes() == raw
+    text, _ = clean_tweet("so happy today")
+    encoded = encode(tokenize(text), bundle.vocab, bundle.max_len, 0)
+    probs = model_probabilities(bundle.spec, bundle.weights, [encoded])[0]
+    # not bitwise: another BLAS may round differently
+    assert np.allclose(probs, PINNED_MODELS[name], rtol=0, atol=1e-12)
+    # a file from before candidate_bias was recorded, and one from a later release
+    p = tmp_path / "edited.ttrn"
+    p.write_bytes(edit_manifest(raw, lambda m: m["cell"].pop("candidate_bias")))
+    assert load_model(str(p)).spec.candidate_bias is True
+    p.write_bytes(edit_manifest(raw, lambda m: m["cell"].update(added_later=[1, 2])))
+    assert load_model(str(p)).spec == bundle.spec
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda v: v.update(tokens=v["tokens"][:5]), ChecksumMismatch),
+        (lambda v: v["tokens"].append("brandnew"), ChecksumMismatch),
+        (lambda v: v["tokens"].__setitem__(0, v["tokens"][1]), ChecksumMismatch),
+        (lambda v: v["tokens"].__setitem__(0, ["unhashable"]), ParseError),
+    ],
+    ids=["cut", "grown", "repeated-token", "unhashable-token"],
+)
+def test_vocabulary_that_disagrees_with_the_cell_is_rejected(tmp_path, edit, error):
+    p = tmp_path / "m.ttrn"
+    p.write_bytes(edit_manifest(Path(data_path("gru.ttrn")).read_bytes(), lambda m: edit(m["vocab"])))
+    with pytest.raises(error):
+        load_model(str(p))
 
 
 def test_model_kind_guard(tmp_path, tiny_bundle):

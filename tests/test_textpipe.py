@@ -211,10 +211,16 @@ def test_vocab_empty_corpus_rejected():
 
 
 def test_vocab_dict_round_trip():
-    vocab = build_vocab(["a a b"], min_count=1, max_size=10)
-    again = Vocabulary.from_dict(vocab.to_dict())
-    assert again == vocab
-    assert again.id_of("b") == 3
+    for max_size in (10, None):
+        vocab = build_vocab(["a a b"], min_count=1, max_size=max_size)
+        assert vocab.to_dict()["max_size"] == max_size  # written even as null
+        for again in (
+            Vocabulary.from_dict(vocab.to_dict()),
+            # through JSON text too, where a tuple comes back as a list
+            Vocabulary.from_dict(json.loads(json.dumps(vocab.to_dict()))),
+        ):
+            assert again == vocab
+            assert again.id_of("b") == 3
 
 
 # ---------------------------------------------------------------------------
